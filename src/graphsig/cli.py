@@ -197,14 +197,18 @@ def _design_params(args) -> dict:
 
 
 def _build_bank(args, G):
-    if getattr(args, "bank", None):
+    """Prepare ``G`` for ``--method`` and the design, then build the bank.
+
+    The Fourier basis is computed for the exact path and for a
+    ``warped_translates`` design, the spectral-radius bound otherwise.
+    """
+    if args.method == "exact" or (args.design == "warped_translates"
+                                  and not args.bank):
+        compute_fourier_basis(G)
+    else:
+        estimate_lmax(G)
+    if args.bank:
         return gio.load_filter_bank(_require_file(args.bank))
-    if args.design == "warped_translates":
-        compute_fourier_basis(G)
-        return design_bank(args.design, G, **_design_params(args))
-    if args.method == "exact":
-        compute_fourier_basis(G)
-    estimate_lmax(G)
     return design_bank(args.design, G, **_design_params(args))
 
 
@@ -214,10 +218,6 @@ def _cmd_filter(args, argv):
     G = _load_graph(args)
     f = gio.load_signal(args.signal)
     bank = _build_bank(args, G)
-    if args.method == "exact":
-        compute_fourier_basis(G)
-    else:
-        estimate_lmax(G)
     coef = filter_analysis(G, bank, f, method=args.method, order=args.order)
     gio.save_signal(args.out, coef)
     outputs = [args.out]
@@ -292,20 +292,12 @@ def _cmd_denoise(args, argv):
         params["gamma"] = args.gamma
     elif args.solver == "wavelet":
         bank = _build_bank(args, G)
-        if args.method == "exact":
-            compute_fourier_basis(G)
-        else:
-            estimate_lmax(G)
         x, report = wavelet_denoise(G, bank, y, args.tau,
                                     method=args.method, order=args.order)
         params.update({"tau": args.tau, "design": args.design,
                        "method": args.method})
     elif args.solver == "bpdn":
         bank = _build_bank(args, G)
-        if args.method == "exact":
-            compute_fourier_basis(G)
-        else:
-            estimate_lmax(G)
         mask = None
         if args.mask:
             mask = gio.load_signal(_require_file(args.mask)) > 0.5
@@ -369,13 +361,7 @@ def _cmd_plot_graph(args, argv):
 def _cmd_plot_filters(args, argv):
     if args.graph:
         _require_file(args.graph)
-        G = _load_graph(args)
-        if args.design == "warped_translates":
-            compute_fourier_basis(G)
-        else:
-            estimate_lmax(G)
-        bank = (gio.load_filter_bank(_require_file(args.bank)) if args.bank
-                else design_bank(args.design, G, **_design_params(args)))
+        bank = _build_bank(args, _load_graph(args))
     else:
         if args.bank:
             bank = gio.load_filter_bank(_require_file(args.bank))

@@ -8,7 +8,10 @@ arbitrary callables do not.
 
 Filtering runs either through the exact eigenbasis or through a Chebyshev
 polynomial approximation that only touches the sparse Laplacian, which is the
-path that scales.
+path that scales.  Both go through one bank routine.  A Chebyshev call costs
+``order`` sparse products for the whole bank: analysis shares one forward
+recurrence across the kernels and synthesis runs one Clenshaw recurrence.  An
+exact call costs two dense products with the eigenvector matrix.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .exceptions import BadParameter, ShapeMismatch
-from .graphs import Graph
+from .graphs import Graph, _as_signal
 from .spectral import estimate_lmax, get_lmax, get_spectral
 
 
@@ -407,6 +410,43 @@ def chebyshev_coeffs(kernel, order: int, lmax: float) -> ChebyshevCoeffs:
     return ChebyshevCoeffs(c=c, order=order, lmax=float(lmax))
 
 
+def _chebyshev_bank(L, C: np.ndarray, lmax: float, X: np.ndarray,
+                    adjoint: bool = False) -> np.ndarray:
+    """Filter a 2-D block by the Chebyshev series in the rows of ``C``.
+
+    Analysis stacks ``p_j(L) X`` kernel-major; ``T_t(L) X`` does not depend
+    on the kernel, so one forward recurrence serves every row.  Synthesis
+    (``adjoint``) sums ``p_j(L) X_j`` over the kernel-major blocks of ``X``,
+    which is ``sum_t T_t(L) Z_t`` with ``Z_t = sum_j C[j, t] X_j``: one
+    Clenshaw recurrence, forming each ``Z_t`` when it is reached.  Either
+    way the cost is ``order`` sparse products.
+    """
+    half = 0.5 * lmax
+
+    def shifted(v):
+        # (2 L / lmax - I) v, the recurrence operator on [-1, 1].
+        return (L @ v) / half - v
+
+    if adjoint:
+        blocks = np.stack(np.hsplit(X, C.shape[0])).reshape(C.shape[0], -1)
+
+        def term(t):
+            return (C[:, t] @ blocks).reshape(X.shape[0], -1)
+
+        b_cur, b_next = term(C.shape[1] - 1), 0.0
+        for t in range(C.shape[1] - 2, 0, -1):
+            b_cur, b_next = term(t) + 2.0 * shifted(b_cur) - b_next, b_cur
+        return 0.5 * term(0) + shifted(b_cur) - b_next
+    t_prev, t_cur = X, shifted(X)
+    outs = [0.5 * c[0] * t_prev + c[1] * t_cur for c in C]
+    for t in range(2, C.shape[1]):
+        t_next = 2.0 * shifted(t_cur) - t_prev
+        for c, out in zip(C, outs):
+            out += c[t] * t_next
+        t_prev, t_cur = t_cur, t_next
+    return np.hstack(outs)
+
+
 def chebyshev_apply(G: Graph, coeffs: ChebyshevCoeffs, f) -> np.ndarray:
     """Apply a Chebyshev-expanded kernel to a signal via the recurrence.
 
@@ -414,44 +454,37 @@ def chebyshev_apply(G: Graph, coeffs: ChebyshevCoeffs, f) -> np.ndarray:
     cost is ``order`` products per signal.  Accepts a vector or a matrix of
     column signals.
     """
-    arr = np.asarray(f, dtype=float)
-    was_1d = arr.ndim == 1
-    if was_1d:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] != G.N:
-        raise ShapeMismatch(
-            f"signal must have {G.N} rows, got shape {np.asarray(f).shape}")
-    c = coeffs.c
-    half = 0.5 * coeffs.lmax
-    L = G.L
-
-    def shifted(v):
-        # (2 L / lmax - I) v, the recurrence operator on [-1, 1].
-        return (L @ v) / half - v
-
-    t_prev = arr
-    t_cur = shifted(arr)
-    out = 0.5 * c[0] * t_prev + c[1] * t_cur
-    for k in range(2, c.size):
-        t_next = 2.0 * shifted(t_cur) - t_prev
-        out = out + c[k] * t_next
-        t_prev, t_cur = t_cur, t_next
-    return out[:, 0] if was_1d else out
+    arr = _as_signal(G, f)
+    out = _chebyshev_bank(G.L, coeffs.c[None, :], coeffs.lmax,
+                          arr.reshape(G.N, -1))
+    return out[:, 0] if arr.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
 # Bank application
 # ---------------------------------------------------------------------------
 
-def _coerce_signal(G: Graph, f):
-    arr = np.asarray(f, dtype=float)
-    was_1d = arr.ndim == 1
-    if was_1d:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] != G.N:
-        raise ShapeMismatch(
-            f"signal must have {G.N} rows, got shape {np.asarray(f).shape}")
-    return arr, was_1d
+def _apply_bank(G: Graph, bank: FilterBank, X: np.ndarray, method: str,
+                order: int, adjoint: bool = False) -> np.ndarray:
+    """Apply a bank to a 2-D block: the one routine behind all filtering.
+
+    Analysis maps ``(N, k)`` signals to ``(N, len(bank) * k)`` kernel-major
+    coefficients; ``adjoint=True`` is synthesis, mapping those back to
+    ``(N, k)``.
+    """
+    if method == "exact":
+        S = get_spectral(G, "exact filtering")
+        resp, spec = bank.evaluate(S.e), S.U.T @ X
+        if adjoint:
+            return S.U @ np.einsum("jn,njk->nk", resp,
+                                   spec.reshape(G.N, len(bank), -1))
+        return S.U @ np.einsum("jn,nk->njk", resp, spec).reshape(G.N, -1)
+    if method == "chebyshev":
+        lmax = get_lmax(G, "chebyshev filtering")
+        C = np.vstack([chebyshev_coeffs(kern, order, lmax).c for kern in bank])
+        return _chebyshev_bank(G.L, C, lmax, X, adjoint)
+    raise BadParameter(
+        f"method must be 'exact' or 'chebyshev', got {method!r}")
 
 
 def filter_analysis(G: Graph, bank: FilterBank, f, method: str = "exact",
@@ -471,23 +504,9 @@ def filter_analysis(G: Graph, bank: FilterBank, f, method: str = "exact",
         belong to the first kernel.  A 1-D input returns ``(N, len(bank))``,
         squeezed to 1-D for a single-kernel bank.
     """
-    arr, was_1d = _coerce_signal(G, f)
-    if method == "exact":
-        S = get_spectral(G, "exact filtering")
-        fhat = S.U.T @ arr
-        blocks = [S.U @ (np.asarray(kern(S.e))[:, None] * fhat)
-                  for kern in bank]
-    elif method == "chebyshev":
-        lmax = get_lmax(G, "chebyshev filtering")
-        blocks = [chebyshev_apply(G, chebyshev_coeffs(kern, order, lmax), arr)
-                  for kern in bank]
-    else:
-        raise BadParameter(
-            f"method must be 'exact' or 'chebyshev', got {method!r}")
-    out = np.hstack(blocks)
-    if was_1d:
-        out = out[:, 0] if len(bank) == 1 else out
-    return out
+    arr = _as_signal(G, f)
+    out = _apply_bank(G, bank, arr.reshape(G.N, -1), method, order)
+    return out[:, 0] if arr.ndim == 1 and len(bank) == 1 else out
 
 
 def filter_synthesis(G: Graph, bank: FilterBank, coefficients,
@@ -504,30 +523,13 @@ def filter_synthesis(G: Graph, bank: FilterBank, coefficients,
     Returns:
         ``(N, k)`` signals, squeezed to 1-D when ``k == 1``.
     """
-    arr = np.asarray(coefficients, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    nf = len(bank)
-    if arr.ndim != 2 or arr.shape[0] != G.N or arr.shape[1] % nf != 0:
+    arr = _as_signal(G, coefficients, "coefficients").reshape(G.N, -1)
+    if arr.shape[1] % len(bank) != 0:
         raise ShapeMismatch(
-            f"coefficients must be (N={G.N}, {nf}*k), got shape "
+            f"coefficients must be (N={G.N}, {len(bank)}*k), got shape "
             f"{np.asarray(coefficients).shape}")
-    k = arr.shape[1] // nf
-    out = np.zeros((G.N, k))
-    if method == "exact":
-        S = get_spectral(G, "exact filtering")
-        for j, kern in enumerate(bank):
-            block = arr[:, j * k:(j + 1) * k]
-            out += S.U @ (np.asarray(kern(S.e))[:, None] * (S.U.T @ block))
-    elif method == "chebyshev":
-        lmax = get_lmax(G, "chebyshev filtering")
-        for j, kern in enumerate(bank):
-            coeffs = chebyshev_coeffs(kern, order, lmax)
-            out += chebyshev_apply(G, coeffs, arr[:, j * k:(j + 1) * k])
-    else:
-        raise BadParameter(
-            f"method must be 'exact' or 'chebyshev', got {method!r}")
-    return out[:, 0] if k == 1 else out
+    out = _apply_bank(G, bank, arr, method, order, adjoint=True)
+    return out[:, 0] if out.shape[1] == 1 else out
 
 
 def frame_bounds(bank: FilterBank, lmax: Optional[float] = None,

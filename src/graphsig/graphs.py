@@ -33,6 +33,7 @@ from .exceptions import (
     NonSquareMatrix,
     NotConverged,
     NotStronglyConnected,
+    ShapeMismatch,
     ZeroDegreeVertex,
     ZeroOutDegree,
 )
@@ -231,6 +232,21 @@ def graph_from_weights(weights, directed="auto", name: str = "",
                 else LaplacianKind.COMBINATORIAL)
     laplacian(G, kind)
     return G
+
+
+def _as_signal(G: Graph, f, label: str = "signal") -> np.ndarray:
+    """A signal ``(N,)`` or block ``(N, k)`` as a float array, shape kept.
+
+    Raises ``ShapeMismatch`` for any other shape and ``NonFiniteValue`` for
+    NaN or infinite entries.
+    """
+    arr = np.asarray(f, dtype=float)
+    if arr.ndim not in (1, 2) or arr.shape[0] != G.N:
+        raise ShapeMismatch(
+            f"{label} must have {G.N} rows, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise NonFiniteValue(f"{label} contains NaN or infinite entries")
+    return arr
 
 
 # ---------------------------------------------------------------------------

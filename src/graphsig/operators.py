@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import ShapeMismatch
-from .graphs import Graph
+from .graphs import Graph, _as_signal
 
 
 @dataclass
@@ -66,11 +66,7 @@ def incidence(G: Graph) -> IncidenceOperator:
 
 def grad(G: Graph, f) -> np.ndarray:
     """Graph gradient: differences ``sqrt(w_ij) * (f[j] - f[i])`` per edge."""
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[0] != G.N:
-        raise ShapeMismatch(
-            f"signal must have {G.N} rows, got shape {arr.shape}")
-    return incidence(G).D @ arr
+    return incidence(G).D @ _as_signal(G, f)
 
 
 def div(G: Graph, s) -> np.ndarray:

@@ -15,8 +15,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
 from .exceptions import BadParameter, NotTightFrame, ShapeMismatch, SolverFailure
-from .filters import FilterBank, filter_analysis, filter_synthesis, frame_bounds
-from .graphs import Graph
+# filter_analysis and filter_synthesis stay importable from this module.
+from .filters import (FilterBank, _apply_bank, filter_analysis,  # noqa: F401
+                      filter_synthesis, frame_bounds)
+from .graphs import Graph, _as_signal
 from .operators import incidence
 from .spectral import get_lmax
 
@@ -63,17 +65,6 @@ def snr(reference, estimate) -> float:
     return 10.0 * np.log10(p_ref / p_err)
 
 
-def _coerce(G: Graph, y):
-    arr = np.asarray(y, dtype=float)
-    was_1d = arr.ndim == 1
-    if was_1d:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] != G.N:
-        raise ShapeMismatch(
-            f"signal must have {G.N} rows, got shape {np.asarray(y).shape}")
-    return arr, was_1d
-
-
 def _operator_norm_sq(D: sp.csr_array) -> float:
     """Upper bound on the squared spectral norm of the incidence operator."""
     DtD = sp.csr_array(D.T @ D)
@@ -112,7 +103,7 @@ def prox_tv(G: Graph, y, gamma: float, max_iter: int = 1000,
     """
     if gamma < 0:
         raise BadParameter(f"gamma must be >= 0, got {gamma}")
-    arr, was_1d = _coerce(G, y)
+    arr, was_1d = _as_signal(G, y).reshape(G.N, -1), np.ndim(y) == 1
     op = incidence(G)
     D = op.D
     ne = D.shape[0]
@@ -187,7 +178,7 @@ def tik_denoise(G: Graph, y, gamma: float, tol: float = 1e-10,
     """
     if gamma < 0:
         raise BadParameter(f"gamma must be >= 0, got {gamma}")
-    arr, was_1d = _coerce(G, y)
+    arr, was_1d = _as_signal(G, y).reshape(G.N, -1), np.ndim(y) == 1
     if gamma == 0:
         x = arr.copy()
         report = SolverReport(iterations=0, objective=0.0, residual=0.0,
@@ -269,14 +260,15 @@ def wavelet_denoise(G: Graph, bank: FilterBank, y, tau: float,
         raise NotTightFrame(
             f"frame bounds A={a:.6g}, B={b:.6g} differ; wavelet_denoise "
             "needs a tight frame — use solve_bpdn instead")
-    coef = filter_analysis(G, bank, y, method=method, order=order)
-    shrunk = _soft(np.asarray(coef, dtype=float), float(tau))
-    x = filter_synthesis(G, bank, shrunk, method=method, order=order) / a
+    y = _as_signal(G, y)
+    coef = _apply_bank(G, bank, y.reshape(G.N, -1), method, order)
+    shrunk = _soft(coef, float(tau))
+    x = _apply_bank(G, bank, shrunk, method, order, adjoint=True) / a
     delta = shrunk - coef
     obj = float(tau * np.sum(np.abs(shrunk)) + 0.5 * np.sum(delta ** 2))
     report = SolverReport(iterations=1, objective=obj, residual=0.0,
                           converged=True, objective_history=[obj])
-    return x, report
+    return (x[:, 0] if y.ndim == 1 else x), report
 
 
 def solve_bpdn(G: Graph, bank: FilterBank, y, lam: float = 0.1,
@@ -307,7 +299,7 @@ def solve_bpdn(G: Graph, bank: FilterBank, y, lam: float = 0.1,
     """
     if lam < 0:
         raise BadParameter(f"lam must be >= 0, got {lam}")
-    arr, _ = _coerce(G, y)
+    arr = _as_signal(G, y).reshape(G.N, -1)
     if mask is not None:
         m = np.asarray(mask).astype(bool)
         if m.shape != (G.N,):
@@ -323,8 +315,7 @@ def solve_bpdn(G: Graph, bank: FilterBank, y, lam: float = 0.1,
     step = 0.95 / b_upper
 
     def synth(c):
-        out = filter_synthesis(G, bank, c, method=method, order=order)
-        return out[:, None] if out.ndim == 1 else out
+        return _apply_bank(G, bank, c, method, order, adjoint=True)
 
     def masked(v):
         return v if m is None else m * v
@@ -344,16 +335,13 @@ def solve_bpdn(G: Graph, bank: FilterBank, y, lam: float = 0.1,
     it = 0
     change = np.inf
     for it in range(1, max_iter + 1):
-        grad = filter_analysis(G, bank, masked(synth(z) - arr),
-                               method=method, order=order)
-        grad = grad if grad.ndim == 2 else grad[:, None]
+        grad = _apply_bank(G, bank, masked(synth(z) - arr), method, order)
         c_new = _soft(z - step * grad, step * lam)
         f_new = objective(c_new, synth(c_new) - arr)
         if f_new > f_prev:
             # Monotone fallback: plain proximal step from the last accepted c.
-            grad = filter_analysis(G, bank, masked(synth(c) - arr),
-                                   method=method, order=order)
-            grad = grad if grad.ndim == 2 else grad[:, None]
+            grad = _apply_bank(G, bank, masked(synth(c) - arr), method,
+                               order)
             c_new = _soft(c - step * grad, step * lam)
             f_new = objective(c_new, synth(c_new) - arr)
             t = 1.0

@@ -20,9 +20,8 @@ from .exceptions import (
     MissingFourierBasis,
     MissingLmax,
     NonSymmetricLaplacian,
-    ShapeMismatch,
 )
-from .graphs import Graph
+from .graphs import Graph, _as_signal
 
 #: Largest vertex count for which a dense eigendecomposition is attempted.
 DEFAULT_DENSE_CAP = 3000
@@ -92,6 +91,16 @@ def _fix_signs(U: np.ndarray) -> np.ndarray:
     return U
 
 
+def _require_symmetric(G: Graph, consequence: str) -> None:
+    """Raise unless the active Laplacian is symmetric to roundoff."""
+    L = G.L
+    scale = max(1.0, float(abs(L).max()))
+    if float(abs(L - L.T).max()) > 1e-10 * scale:
+        raise NonSymmetricLaplacian(
+            f"active laplacian ({G.lap_kind.value}) is not symmetric; "
+            f"{consequence}")
+
+
 def compute_fourier_basis(G: Graph) -> SpectralData:
     """Full symmetric eigendecomposition of the graph's active Laplacian.
 
@@ -111,12 +120,8 @@ def compute_fourier_basis(G: Graph) -> SpectralData:
         raise GraphTooLargeForDense(
             f"graph has {G.N} vertices, dense cap is {cap} "
             f"(override with {DENSE_CAP_ENV})")
+    _require_symmetric(G, "no orthonormal Fourier basis exists")
     Ld = G.L.toarray()
-    scale = max(1.0, float(np.max(np.abs(Ld))) if Ld.size else 0.0)
-    if np.max(np.abs(Ld - Ld.T)) > 1e-10 * scale:
-        raise NonSymmetricLaplacian(
-            f"active laplacian ({G.lap_kind.value}) is not symmetric; "
-            "no orthonormal Fourier basis exists")
     e, U = np.linalg.eigh((Ld + Ld.T) * 0.5)
     U = _fix_signs(U)
     data = SpectralData(U=U, e=e, lmax=float(e[-1]), exact_lmax=True,
@@ -133,11 +138,16 @@ def estimate_lmax(G: Graph) -> float:
     needs.  If Lanczos fails to converge, the Gershgorin row bound is used
     instead.  When the exact decomposition is already available its top
     eigenvalue wins.
+
+    Raises:
+        NonSymmetricLaplacian: The active Laplacian is not symmetric, so
+            symmetric Lanczos gives no bound.
     """
     if G._spectral is not None:
         return G._spectral.lmax
     if G._lmax_estimate is not None:
         return G._lmax_estimate
+    _require_symmetric(G, "symmetric Lanczos gives no spectral-radius bound")
 
     if G.N <= 2:
         ev = np.linalg.eigvalsh(G.L.toarray())
@@ -182,14 +192,6 @@ def get_spectral(G: Graph, required_by: str = "this operation") -> SpectralData:
     return G._spectral
 
 
-def _check_signal(G: Graph, f, label: str = "signal") -> np.ndarray:
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[0] != G.N:
-        raise ShapeMismatch(
-            f"{label} must have {G.N} rows, got shape {arr.shape}")
-    return arr
-
-
 def gft(G: Graph, f) -> np.ndarray:
     """Graph Fourier transform: project a signal onto the eigenbasis.
 
@@ -197,13 +199,13 @@ def gft(G: Graph, f) -> np.ndarray:
     preserved.
     """
     S = get_spectral(G, "gft")
-    return S.U.T @ _check_signal(G, f)
+    return S.U.T @ _as_signal(G, f)
 
 
 def igft(G: Graph, f_hat) -> np.ndarray:
     """Inverse graph Fourier transform."""
     S = get_spectral(G, "igft")
-    return S.U @ _check_signal(G, f_hat, "spectrum")
+    return S.U @ _as_signal(G, f_hat, "spectrum")
 
 
 def localize(G: Graph, kernel, i: int, order: int = 30) -> np.ndarray:

@@ -77,3 +77,14 @@ def random_directed_strongly_connected(n, p, seed):
     W[ring, (ring + 1) % n] = np.maximum(W[ring, (ring + 1) % n],
                                          rng.uniform(0.5, 2.0, n))
     return W
+
+
+def dense_polynomial(L, a):
+    """``sum_i a[i] * L**i`` from explicit dense matrix powers."""
+    L = np.asarray(L, dtype=float)
+    out = np.zeros_like(L)
+    power = np.eye(L.shape[0])
+    for coef in a:
+        out += coef * power
+        power = power @ L
+    return out

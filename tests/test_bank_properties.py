@@ -1,0 +1,139 @@
+"""Property tests for the shared bank-application routine.
+
+Random undirected sensor graphs, bank sizes, signal counts and Chebyshev
+orders; the exact and Chebyshev paths must each behave as one linear
+operator and its adjoint.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+import graphsig as gs
+
+from oracles import dense_polynomial
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None,
+                             derandomize=True)
+
+
+def _bank(kind, lmax, m):
+    if kind == "itersine":
+        return gs.itersine(lmax, n_filters=m)
+    if kind == "gabor":
+        return gs.gabor(lmax, n_shifts=m)
+    return gs.mexican_hat(lmax, n_scales=max(m - 1, 1))
+
+
+@st.composite
+def cases(draw, kinds=("itersine", "gabor", "mexican_hat")):
+    n = draw(st.integers(8, 48))
+    G = gs.sensor(n, seed=draw(st.integers(0, 10_000)))
+    lmax = gs.estimate_lmax(G)
+    bank = _bank(draw(st.sampled_from(kinds)), lmax, draw(st.integers(1, 8)))
+    k = draw(st.integers(1, 3))
+    order = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return G, bank, rng.standard_normal((n, k)), order, rng
+
+
+@PROPERTY_SETTINGS
+@given(cases(), st.sampled_from(["exact", "chebyshev"]))
+def test_synthesis_is_adjoint_of_analysis(case, method):
+    G, bank, F, order, rng = case
+    if method == "exact":
+        gs.compute_fourier_basis(G)
+    C = rng.standard_normal((G.N, len(bank) * F.shape[1]))
+    AF = gs.filter_analysis(G, bank, F, method=method, order=order)
+    AtC = gs.filter_synthesis(G, bank, C, method=method,
+                              order=order).reshape(F.shape)
+    lhs, rhs = np.sum(AF * C), np.sum(F * AtC)
+    scale = np.linalg.norm(AF) * np.linalg.norm(C) \
+        + np.linalg.norm(F) * np.linalg.norm(AtC)
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@PROPERTY_SETTINGS
+@given(cases(kinds=("itersine",)), st.integers(0, 4), st.booleans())
+def test_tight_frames_invert_on_exact_path(case, degree, use_regular):
+    G, bank, F, _, _ = case
+    gs.compute_fourier_basis(G)
+    if use_regular:
+        bank = gs.regular_hp_lp(G, degree=degree)
+    C = gs.filter_analysis(G, bank, F, method="exact")
+    rec = gs.filter_synthesis(G, bank, C, method="exact").reshape(F.shape)
+    assert_allclose(rec, F, rtol=0, atol=1e-10 * np.abs(F).max())
+
+
+def _per_kernel(G, kern, B, method, order):
+    """One kernel over one block, the loop the bank routine replaced."""
+    if method == "exact":
+        S = gs.compute_fourier_basis(G)
+        return S.U @ (kern(S.e)[:, None] * (S.U.T @ B))
+    coeffs = gs.chebyshev_coeffs(kern, order, gs.estimate_lmax(G))
+    return gs.chebyshev_apply(G, coeffs, B)
+
+
+@PROPERTY_SETTINGS
+@given(cases(), st.sampled_from(["exact", "chebyshev"]))
+def test_bank_matches_per_kernel_loop(case, method):
+    G, bank, F, order, rng = case
+    if method == "exact":
+        gs.compute_fourier_basis(G)
+    k = F.shape[1]
+    C = gs.filter_analysis(G, bank, F, method=method, order=order)
+    for j, kern in enumerate(bank):
+        block = C[:, j * k:(j + 1) * k]
+        ref = _per_kernel(G, kern, F, method, order)
+        if method == "chebyshev":
+            # The shared forward recurrence does the same arithmetic.
+            assert np.array_equal(block, ref)
+        else:
+            assert_allclose(block, ref, rtol=0,
+                            atol=1e-12 * max(np.abs(ref).max(), 1.0))
+    X = rng.standard_normal(C.shape)
+    got = gs.filter_synthesis(G, bank, X, method=method, order=order)
+    want = sum(_per_kernel(G, kern, X[:, j * k:(j + 1) * k], method, order)
+               for j, kern in enumerate(bank))
+    assert_allclose(got.reshape(want.shape), want, rtol=0,
+                    atol=1e-12 * max(np.abs(want).max(), 1.0))
+
+
+@PROPERTY_SETTINGS
+@given(cases(), st.data())
+def test_polynomial_kernels_match_dense_powers(case, data):
+    G, _, F, order, rng = case
+    lmax = gs.estimate_lmax(G)
+    degree = data.draw(st.integers(0, order))
+    a = rng.uniform(-1.0, 1.0, degree + 1)
+    kern = gs.Kernel(lambda x: np.polynomial.polynomial.polyval(x / lmax, a))
+    bank = gs.FilterBank([kern], lmax)
+    got = gs.filter_analysis(G, bank, F, method="chebyshev", order=order)
+    want = dense_polynomial(G.L.toarray() / lmax, a) @ F
+    assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+
+
+class _CountingOperator:
+    """Stands in for ``G.L`` and counts the ``L @ v`` products."""
+
+    def __init__(self, L):
+        self.L = L
+        self.products = 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.L @ v
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_chebyshev_cost_is_order_products_per_bank(case):
+    G, bank, F, order, _ = case
+    gs.estimate_lmax(G)
+    counter = G.L = _CountingOperator(G.L)
+    C = gs.filter_analysis(G, bank, F, method="chebyshev", order=order)
+    assert counter.products == order
+    counter.products = 0
+    gs.filter_synthesis(G, bank, C, method="chebyshev", order=order)
+    assert counter.products == order

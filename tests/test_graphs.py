@@ -85,6 +85,41 @@ class TestConstruction:
             gs.graph_from_weights([[0, 1], [1, 0]], coords=np.zeros((3, 2)))
 
 
+class TestSignalValidation:
+    """Every signal entry point shares one validator."""
+
+    ENTRY_POINTS = {
+        "filter_analysis-exact": lambda G, f: gs.filter_analysis(
+            G, gs.heat(G, tau=2.0), f, method="exact"),
+        "filter_analysis-chebyshev": lambda G, f: gs.filter_analysis(
+            G, gs.heat(G, tau=2.0), f, method="chebyshev"),
+        "tik_denoise": lambda G, f: gs.tik_denoise(G, f, 0.5),
+        "prox_tv": lambda G, f: gs.prox_tv(G, f, 0.5),
+        "gft": gs.gft,
+        "grad": gs.grad,
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_signal_rejected(self, entry, bad):
+        G = gs.ring(8)
+        gs.compute_fourier_basis(G)
+        f = np.ones(8)
+        f[3] = bad
+        with pytest.raises(exc.NonFiniteValue):
+            self.ENTRY_POINTS[entry](G, f)
+        with pytest.raises(exc.NonFiniteValue):
+            self.ENTRY_POINTS[entry](G, np.column_stack([np.ones(8), f]))
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("shape", [(7,), (8, 2, 1), ()])
+    def test_wrong_shape_rejected(self, entry, shape):
+        G = gs.ring(8)
+        gs.compute_fourier_basis(G)
+        with pytest.raises(exc.ShapeMismatch):
+            self.ENTRY_POINTS[entry](G, np.ones(shape))
+
+
 class TestLaplacianOracles:
     """Each kind against an independent dense evaluation of its formula."""
 

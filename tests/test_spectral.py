@@ -8,6 +8,8 @@ from numpy.testing import assert_allclose
 import graphsig as gs
 from graphsig import exceptions as exc
 
+from oracles import random_directed_strongly_connected
+
 
 class TestFourierBasis:
     def test_is_an_eigendecomposition(self, sensor64):
@@ -104,6 +106,17 @@ class TestLmaxEstimate:
         G = gs.path(2)
         est = gs.estimate_lmax(G)  # eigenvalues {0, 2}
         assert abs(est - 2.0 * 1.01) < 1e-12
+
+    def test_asymmetric_laplacian_rejected(self):
+        # Symmetric Lanczos on this degree-normalized directed Laplacian
+        # reports 1.01 * 1.839 = 1.857, below its spectral radius 1.868, so
+        # the "bound" would not be one.
+        W = random_directed_strongly_connected(60, 0.03, seed=2)
+        G = gs.graph_from_weights(W, directed=True, kind="degree-normalized")
+        with pytest.raises(exc.NonSymmetricLaplacian):
+            gs.estimate_lmax(G)
+        with pytest.raises(exc.MissingLmax):
+            gs.get_lmax(G)
 
     def test_get_lmax_requires_prior_work(self):
         G = gs.ring(6)
