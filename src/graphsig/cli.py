@@ -63,9 +63,7 @@ def _write_manifest(args, argv: List[str], primary_out: str,
     if results:
         payload["results"] = results
     mpath = _manifest_path(primary_out, getattr(args, "manifest", None))
-    with open(mpath, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    gio._dump_json(mpath, payload)
     return mpath
 
 
@@ -89,36 +87,29 @@ def _require_file(path: str) -> str:
 # generate
 # ---------------------------------------------------------------------------
 
+#: ``generate`` kinds, in the order the CLI lists them.
+_GENERATORS = {
+    "ring": lambda a: ring(a.n),
+    "path": lambda a: path(a.n),
+    "comet": lambda a: comet(a.tail, a.star_degree),
+    "grid2d": lambda a: grid2d(a.rows, a.cols),
+    "erdos_renyi": lambda a: erdos_renyi(a.n, a.p, seed=a.seed),
+    "sensor": lambda a: sensor(a.n, seed=a.seed, k=a.k),
+    "community": lambda a: community(a.n, a.communities, seed=a.seed),
+    "sbm": lambda a: sbm([int(b) for b in a.blocks.split(",") if b.strip()],
+                         a.p_in, a.p_out, seed=a.seed,
+                         n=a.n if a.n > 0 else None),
+    "swiss_roll": lambda a: swiss_roll(a.n, seed=a.seed, noise=a.noise,
+                                       k=a.k),
+    "two_moons": lambda a: two_moons(a.n, seed=a.seed, noise=a.noise,
+                                     radius=a.radius, k=a.k),
+}
+
+
 def _cmd_generate(args, argv):
-    kind = args.kind
-    seed = args.seed
-    if kind == "ring":
-        G = ring(args.n)
-    elif kind == "path":
-        G = path(args.n)
-    elif kind == "comet":
-        G = comet(args.tail, args.star_degree)
-    elif kind == "grid2d":
-        G = grid2d(args.rows, args.cols)
-    elif kind == "erdos_renyi":
-        G = erdos_renyi(args.n, args.p, seed=seed)
-    elif kind == "sensor":
-        G = sensor(args.n, seed=seed, k=args.k)
-    elif kind == "community":
-        G = community(args.n, args.communities, seed=seed)
-    elif kind == "sbm":
-        blocks = [int(b) for b in args.blocks.split(",") if b.strip()]
-        G = sbm(blocks, args.p_in, args.p_out, seed=seed,
-                n=args.n if args.n > 0 else None)
-    elif kind == "swiss_roll":
-        G = swiss_roll(args.n, seed=seed, noise=args.noise, k=args.k)
-    elif kind == "two_moons":
-        G = two_moons(args.n, seed=seed, noise=args.noise,
-                      radius=args.radius, k=args.k)
-    else:  # pragma: no cover - argparse restricts choices
-        raise BadParameter(f"unknown graph kind {kind!r}")
+    G = _GENERATORS[args.kind](args)
     outputs = gio.save_graph(args.out, G)
-    params = {"kind": kind, "n": G.N, "seed": seed}
+    params = {"kind": args.kind, "n": G.N, "seed": args.seed}
     results = {"vertices": G.N, "edges": G.Ne}
     _write_manifest(args, argv, args.out, params, outputs, results)
     return 0
@@ -448,9 +439,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("generate", help="write a graph from a named family")
-    p.add_argument("kind", choices=["ring", "path", "comet", "grid2d",
-                                    "erdos_renyi", "sensor", "community",
-                                    "sbm", "swiss_roll", "two_moons"])
+    p.add_argument("kind", choices=list(_GENERATORS))
     p.add_argument("--out", required=True, help="output .mtx path")
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--rows", type=int, default=4)

@@ -18,6 +18,7 @@ are part of the contract:
 from __future__ import annotations
 
 import enum
+import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -247,6 +248,21 @@ def _as_signal(G: Graph, f, label: str = "signal") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteValue(f"{label} contains NaN or infinite entries")
     return arr
+
+
+def _fingerprint(G: Graph) -> str:
+    """sha256 of ``W``'s CSR arrays, the directed flag and the Laplacian kind.
+
+    Indices are hashed as little-endian int64 and weights as float64, so a
+    graph read back from Matrix Market (int32 indices) hashes like the one
+    that was written.
+    """
+    W = G.W
+    h = hashlib.sha256(f"{W.shape}:{G.directed}:{G.lap_kind.value}".encode())
+    for arr in (W.indptr.astype("<i8"), W.indices.astype("<i8"),
+                W.data.astype("<f8")):
+        h.update(arr.tobytes())
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

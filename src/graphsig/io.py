@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from .exceptions import BadParameter, LevelMismatch, NonFiniteValue
 from .filters import FilterBank, bank_from_descriptor
-from .graphs import Graph, graph_from_weights
+from .graphs import Graph, _fingerprint, graph_from_weights
 from .optimize import SolverReport
 from .pyramid import Multiresolution, Pyramid, multiresolution_from_keeps
 
@@ -201,7 +201,8 @@ def save_pyramid(directory, mr: Multiresolution, pyr: Pyramid,
                  signal=None) -> List[str]:
     """Write a pyramid decomposition into a directory.
 
-    Layout: ``pyramid.json`` (levels, kept indices, parameters), ``coarse.csv``,
+    Layout: ``pyramid.json`` (levels, kept indices, parameters and the
+    fingerprint of the finest graph), ``coarse.csv``,
     ``error_<level>.csv`` per level, and optionally ``signal.csv`` with the
     analyzed input for later verification.  Returns the written paths.
     """
@@ -210,6 +211,7 @@ def save_pyramid(directory, mr: Multiresolution, pyr: Pyramid,
     manifest = {
         "alpha": mr.alpha,
         "epsilon": mr.epsilon,
+        "fingerprint": _fingerprint(mr.graphs[0]),
         "level_sizes": mr.level_sizes(),
         "keeps": [k.tolist() for k in mr.keeps],
     }
@@ -235,10 +237,13 @@ def load_pyramid(directory, G: Graph) -> Tuple[Multiresolution, Pyramid,
     """Rebuild hierarchy and coefficients from a pyramid directory.
 
     The hierarchy is reconstructed deterministically from the stored kept
-    sets, so the graph must be the same one the pyramid was built from.
+    sets, so the graph must be the one whose fingerprint the manifest holds.
 
     Raises:
-        LevelMismatch: Stored level sizes disagree with the reconstruction.
+        BadParameter: Malformed manifest, missing keys and invalid parameters
+            included.
+        LevelMismatch: ``G`` is not the graph the pyramid was built from, or
+            the stored level sizes disagree with the reconstruction.
     """
     manifest = _load_json(os.path.join(directory, PYRAMID_MANIFEST))
     try:
@@ -246,14 +251,18 @@ def load_pyramid(directory, G: Graph) -> Tuple[Multiresolution, Pyramid,
         alpha = float(manifest["alpha"])
         epsilon = float(manifest["epsilon"])
         sizes = [int(s) for s in manifest["level_sizes"]]
+        fingerprint = str(manifest["fingerprint"])
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParameter(
             f"malformed pyramid manifest in {directory}: {exc}") from exc
+    if fingerprint != _fingerprint(G):
+        raise LevelMismatch(f"the pyramid in {directory} was built from "
+                            "another graph (fingerprint differs)")
     mr = multiresolution_from_keeps(G, keeps, alpha=alpha, epsilon=epsilon)
     if mr.level_sizes() != sizes:
         raise LevelMismatch(
-            f"stored level sizes {sizes} disagree with reconstruction "
-            f"{mr.level_sizes()}; wrong graph?")
+            f"stored level sizes {sizes} disagree with the sizes "
+            f"{mr.level_sizes()} the stored keeps give")
     coarse = load_signal(os.path.join(directory, "coarse.csv"))
     errors = [load_signal(os.path.join(directory, f"error_{level}.csv"))
               for level in range(len(keeps))]

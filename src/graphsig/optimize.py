@@ -20,7 +20,7 @@ from .filters import (FilterBank, _apply_bank, filter_analysis,  # noqa: F401
                       filter_synthesis, frame_bounds)
 from .graphs import Graph, _as_signal
 from .operators import incidence
-from .spectral import get_lmax
+from .spectral import _lmax_bound, get_lmax
 
 #: Relative agreement of the frame bounds below which a frame counts as tight.
 TIGHTNESS_TOL = 1e-6
@@ -65,21 +65,6 @@ def snr(reference, estimate) -> float:
     return 10.0 * np.log10(p_ref / p_err)
 
 
-def _operator_norm_sq(D: sp.csr_array) -> float:
-    """Upper bound on the squared spectral norm of the incidence operator."""
-    DtD = sp.csr_array(D.T @ D)
-    n = DtD.shape[0]
-    if n <= 2:
-        return float(np.linalg.eigvalsh(DtD.toarray())[-1])
-    try:
-        from .spectral import _lanczos_start
-        val = spl.eigsh(DtD, k=1, which="LA", return_eigenvectors=False,
-                        tol=1e-6, ncv=min(n, 20), v0=_lanczos_start(n))
-        return 1.01 * float(val[0])
-    except (spl.ArpackError, spl.ArpackNoConvergence):
-        return float(np.max(np.abs(DtD).sum(axis=1)))
-
-
 def prox_tv(G: Graph, y, gamma: float, max_iter: int = 1000,
             tol: float = 1e-6):
     """Proximal operator of graph total variation.
@@ -114,7 +99,7 @@ def prox_tv(G: Graph, y, gamma: float, max_iter: int = 1000,
                               converged=True, objective_history=[obj])
         return (x[:, 0] if was_1d else x), report
 
-    step = 1.0 / _operator_norm_sq(D)
+    step = 1.0 / _lmax_bound(sp.csr_array(D.T @ D))
     Dy = D @ arr
 
     def primal(x):

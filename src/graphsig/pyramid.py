@@ -28,6 +28,7 @@ from .exceptions import (
     SolverFailure,
 )
 from .graphs import Graph, LaplacianKind, graph_from_weights
+from .spectral import _fix_signs, _lanczos_start
 
 #: Off-diagonal entries of a reduced Laplacian in (0, +CLAMP] are treated as
 #: elimination roundoff and zeroed; anything larger is a genuine error.
@@ -79,8 +80,12 @@ def kron_reduce(L, kept) -> sp.csr_array:
         raise SingularInteriorBlock(
             f"eliminated block of size {rest.size} is singular "
             "(non-finite solve)")
-    R = L_kk - L_kr @ X
-    R = 0.5 * (R + R.T)
+    # In place where the arithmetic allows: each temporary is |kept|^2
+    # doubles, and fewer of them keep the allocator's heap from growing.
+    L_kk -= L_kr @ X
+    del X
+    R = L_kk + L_kk.T
+    R *= 0.5
     # Zero the roundoff-positive off-diagonal entries.
     off = ~np.eye(R.shape[0], dtype=bool)
     noise = off & (R > 0) & (R <= POSITIVE_OFFDIAG_CLAMP)
@@ -131,22 +136,16 @@ _DENSE_EIGVEC_CUTOFF = 256
 def _top_eigenvector(L: sp.csr_array) -> np.ndarray:
     """Largest-eigenvalue eigenvector with a deterministic sign."""
     n = L.shape[0]
-    if n <= _DENSE_EIGVEC_CUTOFF:
-        _, vecs = np.linalg.eigh(L.toarray())
-        u = vecs[:, -1]
-    else:
-        from .spectral import _lanczos_start
+    U = None
+    if n > _DENSE_EIGVEC_CUTOFF:
         try:
-            _, vecs = spl.eigsh(L.astype(float), k=1, which="LA",
-                                tol=0, v0=_lanczos_start(n), ncv=min(n, 32))
-            u = vecs[:, 0]
+            _, U = spl.eigsh(L.astype(float), k=1, which="LA",
+                             tol=0, v0=_lanczos_start(n), ncv=min(n, 32))
         except (spl.ArpackError, spl.ArpackNoConvergence):
-            _, vecs = np.linalg.eigh(L.toarray())
-            u = vecs[:, -1]
-    nz = np.flatnonzero(np.abs(u) > 1e-8)
-    if nz.size and u[nz[0]] < 0:
-        u = -u
-    return u
+            pass
+    if U is None:
+        U = np.linalg.eigh(L.toarray())[1][:, -1:]
+    return _fix_signs(U)[:, 0]
 
 
 def _select_kept(L: sp.csr_array) -> tuple[np.ndarray, bool]:
@@ -168,21 +167,12 @@ def _select_kept(L: sp.csr_array) -> tuple[np.ndarray, bool]:
     return kept, False
 
 
-def graph_multiresolution(G: Graph, n_levels: int, alpha: float = 1.0,
-                          epsilon: float = 0.005) -> Multiresolution:
-    """Build a Kron-reduction pyramid of ``n_levels + 1`` graphs.
+def _reduce_levels(G: Graph, n_levels: int, choose, alpha: float,
+                   epsilon: float) -> Multiresolution:
+    """The one level loop: validate once, then Kron-reduce level by level.
 
-    Args:
-        G: Connected undirected graph carrying its combinatorial Laplacian.
-        n_levels: Number of reduction steps (0 gives just the input graph).
-        alpha: Analysis smoothing strength, must be >= 0.
-        epsilon: Interpolation regularization, must be > 0.
-
-    Raises:
-        KindMismatch: The active Laplacian is not the combinatorial one.
-        NotConnected: The graph is disconnected (elimination blocks would
-            go singular).
-        BadParameter: A level would shrink below two vertices.
+    ``choose(level, current)`` returns the kept indices for that level and
+    whether they came from the deterministic fallback.
     """
     if G.directed or G.lap_kind is not LaplacianKind.COMBINATORIAL:
         raise KindMismatch(
@@ -202,24 +192,47 @@ def graph_multiresolution(G: Graph, n_levels: int, alpha: float = 1.0,
     fallback: List[int] = []
     current = G
     for level in range(int(n_levels)):
-        if current.N < 2:
-            raise BadParameter(
-                f"cannot reduce below 2 vertices (level {level} has "
-                f"{current.N})")
-        kept, used_fallback = _select_kept(current.L)
+        kept, used_fallback = choose(level, current)
+        kept = _check_kept(current.N, kept)
         if used_fallback:
             fallback.append(level)
         R = kron_reduce(current.L, kept)
-        W_next = _laplacian_to_weights(R)
         coords = current.coords[kept] if current.coords is not None else None
         nxt = graph_from_weights(
-            W_next, directed=False, kind=LaplacianKind.COMBINATORIAL,
-            coords=coords, name=f"{G.name or 'graph'}/level{level + 1}")
+            _laplacian_to_weights(R), directed=False,
+            kind=LaplacianKind.COMBINATORIAL, coords=coords,
+            name=f"{G.name or 'graph'}/level{level + 1}")
         graphs.append(nxt)
         keeps.append(kept)
         current = nxt
     return Multiresolution(graphs=graphs, keeps=keeps, alpha=float(alpha),
                            epsilon=float(epsilon), fallback_levels=fallback)
+
+
+def graph_multiresolution(G: Graph, n_levels: int, alpha: float = 1.0,
+                          epsilon: float = 0.005) -> Multiresolution:
+    """Build a Kron-reduction pyramid of ``n_levels + 1`` graphs.
+
+    Args:
+        G: Connected undirected graph carrying its combinatorial Laplacian.
+        n_levels: Number of reduction steps (0 gives just the input graph).
+        alpha: Analysis smoothing strength, must be >= 0.
+        epsilon: Interpolation regularization, must be > 0.
+
+    Raises:
+        KindMismatch: The active Laplacian is not the combinatorial one.
+        NotConnected: The graph is disconnected (elimination blocks would
+            go singular).
+        BadParameter: A level would shrink below two vertices.
+    """
+    def choose(level, current):
+        if current.N < 2:
+            raise BadParameter(
+                f"cannot reduce below 2 vertices (level {level} has "
+                f"{current.N})")
+        return _select_kept(current.L)
+
+    return _reduce_levels(G, n_levels, choose, alpha, epsilon)
 
 
 def _laplacian_to_weights(L: sp.csr_array) -> sp.csr_array:
@@ -233,27 +246,12 @@ def _laplacian_to_weights(L: sp.csr_array) -> sp.csr_array:
 
 def multiresolution_from_keeps(G: Graph, keeps, alpha: float = 1.0,
                                epsilon: float = 0.005) -> Multiresolution:
-    """Rebuild a pyramid from stored kept-index chains (deserialization)."""
-    if G.directed or G.lap_kind is not LaplacianKind.COMBINATORIAL:
-        raise KindMismatch(
-            "multiresolution needs an undirected graph with its "
-            "combinatorial laplacian active")
-    graphs = [G]
-    out: List[np.ndarray] = []
-    current = G
-    for level, kept in enumerate(keeps):
-        kept = _check_kept(current.N, kept)
-        R = kron_reduce(current.L, kept)
-        coords = current.coords[kept] if current.coords is not None else None
-        nxt = graph_from_weights(
-            _laplacian_to_weights(R), directed=False,
-            kind=LaplacianKind.COMBINATORIAL, coords=coords,
-            name=f"{G.name or 'graph'}/level{level + 1}")
-        graphs.append(nxt)
-        out.append(kept)
-        current = nxt
-    return Multiresolution(graphs=graphs, keeps=out, alpha=float(alpha),
-                           epsilon=float(epsilon))
+    """Rebuild a pyramid from stored kept-index chains (deserialization),
+    with the same checks as :func:`graph_multiresolution`."""
+    keeps = list(keeps)
+    return _reduce_levels(G, len(keeps),
+                          lambda level, _: (keeps[level], False),
+                          alpha, epsilon)
 
 
 # ---------------------------------------------------------------------------

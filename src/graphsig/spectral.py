@@ -130,14 +130,30 @@ def compute_fourier_basis(G: Graph) -> SpectralData:
     return data
 
 
+def _lmax_bound(A) -> float:
+    """The bound :func:`estimate_lmax` describes, for any symmetric PSD matrix."""
+    n = A.shape[0]
+    if n <= 2:
+        est = LMAX_SAFETY * float(np.linalg.eigvalsh(A.toarray())[-1])
+    else:
+        try:
+            val = spl.eigsh(A.astype(float), k=1, which="LA",
+                            return_eigenvectors=False, tol=1e-6,
+                            ncv=min(n, 20), v0=_lanczos_start(n))
+            est = LMAX_SAFETY * float(val[0])
+        except (spl.ArpackError, spl.ArpackNoConvergence):
+            est = float(np.max(abs(A).sum(axis=1)))
+    return max(est, 0.0)
+
+
 def estimate_lmax(G: Graph) -> float:
     """Upper bound on the largest Laplacian eigenvalue, cached on the graph.
 
-    Runs a coarse Lanczos iteration and inflates the result by 1 percent so
-    the bound errs on the large side, which is what polynomial filtering
-    needs.  If Lanczos fails to converge, the Gershgorin row bound is used
-    instead.  When the exact decomposition is already available its top
-    eigenvalue wins.
+    Runs a coarse Lanczos iteration (a dense solve up to two vertices) and
+    inflates the result by 1 percent so the bound errs on the large side,
+    which is what polynomial filtering needs.  If Lanczos fails to converge,
+    the Gershgorin row bound is used instead.  When the exact decomposition
+    is already available its top eigenvalue wins.
 
     Raises:
         NonSymmetricLaplacian: The active Laplacian is not symmetric, so
@@ -148,24 +164,8 @@ def estimate_lmax(G: Graph) -> float:
     if G._lmax_estimate is not None:
         return G._lmax_estimate
     _require_symmetric(G, "symmetric Lanczos gives no spectral-radius bound")
-
-    if G.N <= 2:
-        ev = np.linalg.eigvalsh(G.L.toarray())
-        est = LMAX_SAFETY * float(ev[-1])
-    else:
-        try:
-            val = spl.eigsh(G.L.astype(float), k=1, which="LA",
-                            return_eigenvectors=False, tol=1e-6,
-                            ncv=min(G.N, 20), v0=_lanczos_start(G.N))
-            est = LMAX_SAFETY * float(val[0])
-        except (spl.ArpackError, spl.ArpackNoConvergence):
-            # Gershgorin: every eigenvalue lies within the largest absolute
-            # row sum, which is always an upper bound for symmetric L.
-            Labs = abs(G.L)
-            est = float(np.max(Labs.sum(axis=1)))
-    est = max(est, 0.0)
-    G._lmax_estimate = est
-    return est
+    G._lmax_estimate = _lmax_bound(G.L)
+    return G._lmax_estimate
 
 
 def get_lmax(G: Graph, required_by: str = "this operation") -> float:

@@ -60,6 +60,33 @@ class TestGenerate:
                    "--p-in", 1.0, "--p-out", 0.0, "--out", out) == 0
         assert gio.load_graph(out).N == 10
 
+    @pytest.mark.parametrize("kind, flags, direct", [
+        ("ring", ["--n", 9], lambda: gs.ring(9)),
+        ("path", ["--n", 7], lambda: gs.path(7)),
+        ("comet", ["--tail", 4, "--star-degree", 3], lambda: gs.comet(4, 3)),
+        ("grid2d", ["--rows", 3, "--cols", 5], lambda: gs.grid2d(3, 5)),
+        ("erdos_renyi", ["--n", 20, "--p", 0.3, "--seed", 2],
+         lambda: gs.erdos_renyi(20, 0.3, seed=2)),
+        ("sensor", ["--n", 25, "--k", 4, "--seed", 3],
+         lambda: gs.sensor(25, seed=3, k=4)),
+        ("community", ["--n", 24, "--communities", 3, "--seed", 1],
+         lambda: gs.community(24, 3, seed=1)),
+        ("sbm", ["--n", 14, "--blocks", "6,8", "--p-in", 0.9,
+                 "--p-out", 0.1, "--seed", 4],
+         lambda: gs.sbm([6, 8], 0.9, 0.1, seed=4, n=14)),
+        ("swiss_roll", ["--n", 30, "--noise", 0.1, "--k", 4, "--seed", 5],
+         lambda: gs.swiss_roll(30, seed=5, noise=0.1, k=4)),
+        ("two_moons", ["--n", 30, "--noise", 0.02, "--radius", 2.0,
+                       "--k", 4, "--seed", 6],
+         lambda: gs.two_moons(30, seed=6, noise=0.02, radius=2.0, k=4)),
+    ])
+    def test_every_kind_matches_the_generator(self, tmp_path, kind, flags,
+                                              direct):
+        out, ref = tmp_path / "cli.mtx", tmp_path / "ref.mtx"
+        assert run("generate", kind, *flags, "--out", out) == 0
+        gio.save_graph(ref, direct())
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_domain_error_is_exit_2(self, tmp_path):
         assert run("generate", "ring", "--n", 2,
                    "--out", tmp_path / "r.mtx") == 2

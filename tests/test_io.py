@@ -1,5 +1,7 @@
 """Round trips through the on-disk formats."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 import graphsig as gs
 from graphsig import io as gio
 from graphsig import exceptions as exc
+from graphsig.graphs import _fingerprint
 
 
 class TestWeightsMtx:
@@ -184,18 +187,15 @@ class TestPyramidDirectory:
         with pytest.raises((exc.LevelMismatch, exc.IndexOutOfRange)):
             gio.load_pyramid(d, gs.sensor(40, seed=13))
 
-    def test_same_size_wrong_graph_changes_reconstruction(self, tmp_path, rng):
-        # size checks cannot catch a different graph with equal vertex count;
-        # the reconstruction silently differs, which is the documented limit
+    def test_same_size_wrong_graph_rejected(self, tmp_path, rng):
+        # equal vertex counts pass the size checks; the fingerprint does not
         G = gs.sensor(48, seed=6)
         mr = gs.graph_multiresolution(G, 2)
-        f = rng.standard_normal(48)
-        pyr = gs.pyramid_analysis(mr, f)
+        pyr = gs.pyramid_analysis(mr, rng.standard_normal(48))
         d = tmp_path / "pyr"
         gio.save_pyramid(d, mr, pyr)
-        mr2, pyr2, _ = gio.load_pyramid(d, gs.sensor(48, seed=13))
-        recon = gs.pyramid_synthesis(mr2, pyr2)
-        assert np.abs(recon - f).max() > 1e-6
+        with pytest.raises(exc.LevelMismatch, match="fingerprint"):
+            gio.load_pyramid(d, gs.sensor(48, seed=13))
 
     def test_malformed_manifest(self, tmp_path):
         d = tmp_path / "pyr"
@@ -203,3 +203,34 @@ class TestPyramidDirectory:
         (d / "pyramid.json").write_text('{"alpha": 1.0}\n')
         with pytest.raises(exc.BadParameter):
             gio.load_pyramid(d, gs.sensor(10, seed=0))
+
+    @staticmethod
+    def _saved_with_manifest_edit(d, rng, edit):
+        G = gs.sensor(30, seed=1)
+        mr = gs.graph_multiresolution(G, 1)
+        gio.save_pyramid(d, mr, gs.pyramid_analysis(mr, rng.standard_normal(30)))
+        manifest = json.loads((d / "pyramid.json").read_text())
+        edit(manifest)
+        (d / "pyramid.json").write_text(json.dumps(manifest))
+        return G
+
+    def test_manifest_without_fingerprint_refused(self, tmp_path, rng):
+        G = self._saved_with_manifest_edit(
+            tmp_path, rng, lambda m: m.pop("fingerprint"))
+        with pytest.raises(exc.BadParameter, match="fingerprint"):
+            gio.load_pyramid(tmp_path, G)
+
+    def test_manifest_with_negative_alpha_refused(self, tmp_path, rng):
+        G = self._saved_with_manifest_edit(
+            tmp_path, rng, lambda m: m.update(alpha=-0.5))
+        with pytest.raises(exc.BadParameter, match="alpha"):
+            gio.load_pyramid(tmp_path, G)
+
+    def test_fingerprint_survives_mtx_round_trip(self, tmp_path):
+        G = gs.sensor(30, seed=1)
+        gio.save_graph(tmp_path / "g.mtx", G)
+        loaded = gio.load_graph(tmp_path / "g.mtx")
+        assert loaded.W.indices.dtype != G.W.indices.dtype
+        assert _fingerprint(loaded) == _fingerprint(G)
+        gs.laplacian(loaded, "normalized")
+        assert _fingerprint(loaded) != _fingerprint(G)

@@ -122,6 +122,23 @@ class TestHierarchy:
         with pytest.raises(exc.BadParameter):
             gs.graph_multiresolution(G, 1, epsilon=0.0)
 
+    @pytest.mark.parametrize("G, kwargs, error", [
+        (gs.ring(8), {"alpha": -1.0}, exc.BadParameter),
+        (gs.ring(8), {"epsilon": 0.0}, exc.BadParameter),
+        (gs.graph_from_weights(
+            np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]], float),
+            directed=True), {}, exc.KindMismatch),
+        (gs.graph_from_weights(
+            sp.block_diag([gs.ring(3).W, gs.ring(3).W], format="csr")),
+         {}, exc.NotConnected),
+    ], ids=["alpha", "epsilon", "directed", "disconnected"])
+    def test_from_keeps_validates_like_graph_multiresolution(self, G, kwargs,
+                                                             error):
+        with pytest.raises(error):
+            gs.graph_multiresolution(G, 1, **kwargs)
+        with pytest.raises(error):
+            gs.multiresolution_from_keeps(G, [np.arange(0, G.N, 2)], **kwargs)
+
     def test_rebuild_from_keeps(self):
         G1 = gs.sensor(48, seed=7)
         mr = gs.graph_multiresolution(G1, 2, alpha=0.7, epsilon=0.01)

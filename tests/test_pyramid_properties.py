@@ -1,0 +1,98 @@
+"""Property tests for the pyramid level loop and the spectral-bound helper.
+
+Random small sensor graphs; every level of a pyramid must be a Schur
+complement, rebuilding from stored keeps must repeat the reduction exactly,
+and the bound helper must never fall below the true top eigenvalue.
+"""
+
+from unittest import mock
+
+import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spl
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+import graphsig as gs
+from graphsig import spectral
+from graphsig.spectral import _lmax_bound
+
+from oracles import dense_schur, random_directed_strongly_connected
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None,
+                             derandomize=True)
+
+
+@st.composite
+def sensor_graphs(draw, min_n=8, max_n=40):
+    return gs.sensor(draw(st.integers(min_n, max_n)),
+                     seed=draw(st.integers(0, 10_000)))
+
+
+@PROPERTY_SETTINGS
+@given(sensor_graphs(), st.integers(0, 3), st.floats(0.0, 2.0),
+       st.floats(1e-3, 0.5), st.integers(0, 2 ** 32 - 1))
+def test_pyramid_reconstructs_perfectly(G, levels, alpha, epsilon, seed):
+    mr = gs.graph_multiresolution(G, levels, alpha=alpha, epsilon=epsilon)
+    f = np.random.default_rng(seed).standard_normal(G.N)
+    rec = gs.pyramid_synthesis(mr, gs.pyramid_analysis(mr, f))
+    assert np.max(np.abs(rec - f)) <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(sensor_graphs(), st.integers(0, 2 ** 32 - 1))
+def test_kron_reduce_matches_dense_schur(G, seed):
+    rng = np.random.default_rng(seed)
+    kept = np.sort(rng.choice(G.N, size=rng.integers(1, G.N), replace=False))
+    R = gs.kron_reduce(G.L, kept)
+    assert_allclose(R.toarray(), dense_schur(G.L.toarray(), kept),
+                    atol=1e-10)
+
+
+@PROPERTY_SETTINGS
+@given(sensor_graphs(), st.integers(0, 3))
+def test_rebuild_from_keeps_is_bit_identical(G, levels):
+    mr = gs.graph_multiresolution(G, levels)
+    clone = gs.multiresolution_from_keeps(G, mr.keeps)
+    assert len(clone.graphs) == len(mr.graphs)
+    for a, b in zip(mr.graphs, clone.graphs):
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a.W, attr), getattr(b.W, attr))
+
+
+@PROPERTY_SETTINGS
+@given(sensor_graphs(), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_div_grad_is_the_laplacian(G, k, seed):
+    F = np.random.default_rng(seed).standard_normal((G.N, k))
+    assert_allclose(gs.div(G, gs.grad(G, F)), G.L @ F, atol=1e-12)
+
+
+@st.composite
+def bound_operators(draw):
+    """``L`` or ``D^T D`` of a small undirected or directed graph."""
+    n = draw(st.integers(2, 40))
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        G = gs.graph_from_weights(
+            random_directed_strongly_connected(n, 0.2, seed), directed=True)
+    else:
+        G = gs.path(n) if n < 8 else gs.sensor(n, seed=seed)
+    if draw(st.booleans()):
+        return G.L
+    D = gs.incidence(G).D
+    return sp.csr_array(D.T @ D)
+
+
+@PROPERTY_SETTINGS
+@given(bound_operators(), st.booleans())
+def test_lmax_bound_is_an_upper_bound(A, lanczos_fails):
+    top = float(np.linalg.eigvalsh(A.toarray())[-1])
+    if lanczos_fails:
+        failure = spl.ArpackNoConvergence("forced", np.empty(0),
+                                          np.empty((0, 0)))
+        with mock.patch.object(spectral.spl, "eigsh", side_effect=failure):
+            bound = _lmax_bound(A)
+    else:
+        bound = _lmax_bound(A)
+    assert bound >= top
