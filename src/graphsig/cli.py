@@ -11,7 +11,6 @@ stored argument vector, reproducing the outputs bit for bit.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import List, Optional
@@ -378,12 +377,12 @@ def _cmd_plot_filters(args, argv):
 
 def _cmd_rerun(args, argv):
     mpath = _require_file(args.manifest_file)
-    try:
-        with open(mpath, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        stored = list(manifest["argv"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise BadParameter(f"malformed manifest {mpath}: {exc}") from exc
+    manifest = gio._load_json(mpath)
+    stored = manifest.get("argv") if isinstance(manifest, dict) else None
+    if not (isinstance(stored, list) and
+            all(isinstance(a, str) for a in stored)):
+        raise BadParameter(
+            f"malformed manifest {mpath}: 'argv' must be a list of strings")
     if stored and stored[0] == "rerun":
         raise BadParameter("refusing to rerun a rerun manifest")
     return main(stored)

@@ -22,12 +22,13 @@ from .exceptions import (
     IndexOutOfRange,
     KindMismatch,
     LevelMismatch,
+    NonFiniteValue,
     NotConnected,
     ShapeMismatch,
     SingularInteriorBlock,
     SolverFailure,
 )
-from .graphs import Graph, LaplacianKind, graph_from_weights
+from .graphs import Graph, LaplacianKind, _as_signal, graph_from_weights
 from .spectral import _fix_signs, _lanczos_start
 
 #: Off-diagonal entries of a reduced Laplacian in (0, +CLAMP] are treated as
@@ -36,6 +37,7 @@ POSITIVE_OFFDIAG_CLAMP = 1e-10
 
 
 def _check_kept(n: int, kept) -> np.ndarray:
+    """Sorted unique kept indices, refused when empty or out of range."""
     kept = np.unique(np.asarray(kept, dtype=int))
     if kept.size == 0:
         raise EmptyKeptSet("kept set is empty")
@@ -43,9 +45,15 @@ def _check_kept(n: int, kept) -> np.ndarray:
         raise IndexOutOfRange(
             f"kept indices must lie in [0, {n}), got range "
             f"[{kept[0]}, {kept[-1]}]")
-    if kept.size == n:
-        raise BadParameter("kept set must leave at least one vertex out")
     return kept
+
+
+def _splu(A, error, what: str):
+    """Sparse LU of ``A``; SuperLU's ``RuntimeError`` becomes ``error``."""
+    try:
+        return spl.splu(sp.csc_matrix(A))
+    except RuntimeError as exc:
+        raise error(f"{what}: {exc}") from exc
 
 
 def kron_reduce(L, kept) -> sp.csr_array:
@@ -64,18 +72,17 @@ def kron_reduce(L, kept) -> sp.csr_array:
     L = sp.csr_array(L)
     n = L.shape[0]
     kept = _check_kept(n, kept)
+    if kept.size == n:
+        raise BadParameter("kept set must leave at least one vertex out")
     rest = np.setdiff1d(np.arange(n), kept)
 
     L_rr = sp.csc_array(L[np.ix_(rest, rest)])
     L_rk = L[np.ix_(rest, kept)].toarray()
     L_kr = L[np.ix_(kept, rest)]
     L_kk = L[np.ix_(kept, kept)].toarray()
-    try:
-        lu = spl.splu(sp.csc_matrix(L_rr))
-        X = lu.solve(L_rk)
-    except RuntimeError as exc:
-        raise SingularInteriorBlock(
-            f"eliminated block of size {rest.size} is singular: {exc}") from exc
+    X = _splu(L_rr, SingularInteriorBlock,
+              f"eliminated block of size {rest.size} is singular"
+              ).solve(L_rk)
     if not np.all(np.isfinite(X)):
         raise SingularInteriorBlock(
             f"eliminated block of size {rest.size} is singular "
@@ -104,7 +111,7 @@ class Multiresolution:
         keeps: For each reduction step, the sorted indices (into that level)
             of the vertices that survive into the next level.
         alpha: Smoothing strength of the analysis filter ``1 / (1 + alpha x)``.
-        epsilon: Regularization of the interpolation Green's functions.
+        epsilon: Regularization ``L + epsilon I`` of the interpolation.
         fallback_levels: Level indices where the eigenvector split was
             degenerate and the deterministic every-other-vertex fallback was
             used instead.
@@ -117,8 +124,8 @@ class Multiresolution:
     fallback_levels: List[int] = field(default_factory=list)
 
     def __post_init__(self):
-        self._interp_factors = [None] * len(self.keeps)
-        self._smooth_factors = [None] * len(self.keeps)
+        # Per level: (smoothing LU or None, extension), see _level_solvers.
+        self._solvers = [None] * len(self.keeps)
 
     @property
     def n_levels(self) -> int:
@@ -258,68 +265,61 @@ def multiresolution_from_keeps(G: Graph, keeps, alpha: float = 1.0,
 # Interpolation and the signal pyramid
 # ---------------------------------------------------------------------------
 
-def _factorize(L: sp.csr_array, shift: float):
-    try:
-        lu = spl.splu(sp.csc_matrix(sp.csc_array(L) +
-                                    shift * sp.eye_array(L.shape[0],
-                                                         format="csc")))
-    except RuntimeError as exc:
-        raise SolverFailure(f"factorization failed: {exc}") from exc
-    return lu
+def _extension(L: sp.csr_array, kept: np.ndarray, eps: float):
+    """``(rest, L[rest, kept], LU of L[rest, rest] + eps I)`` for sorted
+    ``kept``: what :func:`_extend` needs."""
+    rest = np.setdiff1d(np.arange(L.shape[0]), kept)
+    A_rr = L[np.ix_(rest, rest)] + eps * sp.eye_array(rest.size)
+    lu = _splu(A_rr, SolverFailure, "interpolation factorization failed")
+    return rest, L[np.ix_(rest, kept)], lu
 
 
-def interpolate(G: Graph, kept, values, epsilon: float = 0.005,
-                _lu=None) -> np.ndarray:
+def _extend(ext, kept: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``vals`` on ``kept``, ``-inv(L_rr + eps I) @ L_rk @ vals`` elsewhere."""
+    rest, L_rk, lu = ext
+    out = np.empty((rest.size + kept.size,) + vals.shape[1:])
+    out[kept] = vals
+    out[rest] = -lu.solve(L_rk @ vals)
+    if not np.all(np.isfinite(out)):
+        raise SolverFailure("interpolation produced non-finite values")
+    return out
+
+
+def interpolate(G: Graph, kept, values, epsilon: float = 0.005) -> np.ndarray:
     """Interpolate values given on a vertex subset to the whole graph.
 
-    Fits a combination of regularized Green's functions — columns of
-    ``inv(L + epsilon I)`` — that matches the given values exactly on the
-    kept vertices, and evaluates it everywhere.  Exact reproduction holds on
-    the kept set; elsewhere the surface follows the graph structure, with a
-    bias of order ``epsilon`` on globally smooth inputs.
+    The regularized Green's-function fit (the combination of columns of
+    ``inv(L + epsilon I)[:, K]`` matching the values on the kept set ``K``)
+    equals their harmonic extension: ``x_K = values`` and, on the rest
+    ``R``, ``x_R = -inv(L_RR + epsilon I) @ L_RK @ values``.  That costs one
+    sparse LU and no dense N x |K| block.  The surface follows the graph
+    structure, with a bias of order ``epsilon`` on globally smooth inputs.
+    A kept set covering the whole graph returns the values unchanged.
 
     Args:
         G: The graph (any symmetric Laplacian; combinatorial in the pyramid).
-        kept: Indices the values live on.
+        kept: Indices the values live on; values follow their sorted order.
         values: One value per kept index, or a matrix with one column per
             signal.
         epsilon: Positive regularization.
 
     Raises:
         ShapeMismatch: ``values`` does not match ``kept``.
-        SolverFailure: The Green's-function system is singular.
+        NonFiniteValue: ``values`` holds NaN or infinite entries.
+        SolverFailure: The extension system is singular.
     """
     if epsilon <= 0:
         raise BadParameter(f"epsilon must be positive, got {epsilon}")
-    kept = np.unique(np.asarray(kept, dtype=int))
-    if kept.size == 0:
-        raise EmptyKeptSet("kept set is empty")
-    if kept[0] < 0 or kept[-1] >= G.N:
-        raise IndexOutOfRange(
-            f"kept indices must lie in [0, {G.N})")
+    kept = _check_kept(G.N, kept)
     vals = np.asarray(values, dtype=float)
-    was_1d = vals.ndim == 1
-    if was_1d:
-        vals = vals[:, None]
-    if vals.shape[0] != kept.size:
+    if vals.ndim not in (1, 2) or vals.shape[0] != kept.size:
         raise ShapeMismatch(
-            f"expected {kept.size} values, got shape "
-            f"{np.asarray(values).shape}")
-
-    lu = _lu if _lu is not None else _factorize(G.L, float(epsilon))
-    rhs = np.zeros((G.N, kept.size))
-    rhs[kept, np.arange(kept.size)] = 1.0
-    basis = lu.solve(rhs)          # columns: Green's functions of kept set
-    gram = basis[kept, :]
-    try:
-        coef = np.linalg.solve(gram, vals)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(
-            f"Green's-function system is singular: {exc}") from exc
-    out = basis @ coef
-    if not np.all(np.isfinite(out)):
-        raise SolverFailure("interpolation produced non-finite values")
-    return out[:, 0] if was_1d else out
+            f"expected {kept.size} values, got shape {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise NonFiniteValue("values contain NaN or infinite entries")
+    if kept.size == G.N:
+        return vals.copy()
+    return _extend(_extension(G.L, kept, float(epsilon)), kept, vals)
 
 
 @dataclass
@@ -338,29 +338,30 @@ class Pyramid:
     level_sizes: List[int]
 
 
-def _analysis_filter(mr: Multiresolution, level: int, f: np.ndarray):
-    """Apply ``(I + alpha L)^{-1}`` on one level, caching the factorization."""
-    if mr.alpha == 0:
-        return f
-    lu = mr._smooth_factors[level]
-    if lu is None:
-        n = mr.graphs[level].N
-        A = sp.csc_matrix(sp.csc_array(mr.graphs[level].L) * mr.alpha +
-                          sp.eye_array(n, format="csc"))
-        try:
-            lu = spl.splu(A)
-        except RuntimeError as exc:
-            raise SolverFailure(f"smoothing solve failed: {exc}") from exc
-        mr._smooth_factors[level] = lu
-    return lu.solve(f)
+def _level_solvers(mr: Multiresolution, level: int):
+    """``(LU of I + alpha L or None if alpha == 0, _extension)`` of one
+    level, built on first use."""
+    if mr._solvers[level] is None:
+        L = mr.graphs[level].L
+        smooth = None
+        if mr.alpha != 0:
+            smooth = _splu(sp.csc_array(L) * mr.alpha +
+                           sp.eye_array(L.shape[0], format="csc"),
+                           SolverFailure, "smoothing solve failed")
+        mr._solvers[level] = (smooth, _extension(L, mr.keeps[level],
+                                                 mr.epsilon))
+    return mr._solvers[level]
 
 
-def _interp_lu(mr: Multiresolution, level: int):
-    lu = mr._interp_factors[level]
-    if lu is None:
-        lu = _factorize(mr.graphs[level].L, mr.epsilon)
-        mr._interp_factors[level] = lu
-    return lu
+def _level_signal(G: Graph, x, label: str, size_error) -> np.ndarray:
+    """A finite 1-D signal on a level graph; wrong lengths raise size_error."""
+    arr = np.asarray(x, dtype=float)
+    if arr.shape[:1] != (G.N,):
+        raise size_error(
+            f"{label} must have {G.N} entries, got shape {arr.shape}")
+    if arr.ndim != 1:
+        raise ShapeMismatch(f"{label} must be 1-D, got shape {arr.shape}")
+    return _as_signal(G, arr, label)
 
 
 def pyramid_analysis(mr: Multiresolution, f) -> Pyramid:
@@ -370,21 +371,19 @@ def pyramid_analysis(mr: Multiresolution, f) -> Pyramid:
     on the kept set, and the interpolation residual against that sample is
     stored.  Keeping full-length residuals makes the transform exactly
     invertible by :func:`pyramid_synthesis`.
+
+    Raises:
+        ShapeMismatch: ``f`` is not 1-D with one entry per vertex.
+        NonFiniteValue: ``f`` holds NaN or infinite entries.
     """
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim != 1 or arr.shape[0] != mr.graphs[0].N:
-        raise ShapeMismatch(
-            f"signal must be 1-D with {mr.graphs[0].N} entries, got shape "
-            f"{arr.shape}")
+    current = _level_signal(mr.graphs[0], f, "signal", ShapeMismatch)
     errors: List[np.ndarray] = []
-    current = arr
     for level in range(mr.n_levels):
         kept = mr.keeps[level]
-        smoothed = _analysis_filter(mr, level, current)
+        smooth, ext = _level_solvers(mr, level)
+        smoothed = current if smooth is None else smooth.solve(current)
         coarse = smoothed[kept]
-        predicted = interpolate(mr.graphs[level], kept, coarse, mr.epsilon,
-                                _lu=_interp_lu(mr, level))
-        errors.append(current - predicted)
+        errors.append(current - _extend(ext, kept, coarse))
         current = coarse
     return Pyramid(coarse=current, errors=errors,
                    level_sizes=mr.level_sizes())
@@ -396,24 +395,21 @@ def pyramid_synthesis(mr: Multiresolution, pyr: Pyramid) -> np.ndarray:
     Raises:
         LevelMismatch: The pyramid does not match the hierarchy (wrong level
             count or signal lengths).
+        ShapeMismatch: The coarse signal or an error is not 1-D.
+        NonFiniteValue: The coarse signal or an error holds NaN or infinite
+            entries.
     """
     sizes = mr.level_sizes()
     if pyr.level_sizes != sizes or len(pyr.errors) != mr.n_levels:
         raise LevelMismatch(
             f"pyramid levels {pyr.level_sizes} do not match hierarchy "
             f"{sizes}")
-    if np.asarray(pyr.coarse).shape[0] != sizes[-1]:
-        raise LevelMismatch(
-            f"coarse signal has {np.asarray(pyr.coarse).shape[0]} entries, "
-            f"expected {sizes[-1]}")
-    current = np.asarray(pyr.coarse, dtype=float)
+    current = _level_signal(mr.graphs[-1], pyr.coarse, "coarse signal",
+                            LevelMismatch)
+    errors = [_level_signal(mr.graphs[level], err, f"error at level {level}",
+                            LevelMismatch)
+              for level, err in enumerate(pyr.errors)]
     for level in range(mr.n_levels - 1, -1, -1):
-        err = np.asarray(pyr.errors[level], dtype=float)
-        if err.shape[0] != sizes[level]:
-            raise LevelMismatch(
-                f"error at level {level} has {err.shape[0]} entries, "
-                f"expected {sizes[level]}")
-        predicted = interpolate(mr.graphs[level], mr.keeps[level], current,
-                                mr.epsilon, _lu=_interp_lu(mr, level))
-        current = predicted + err
+        _, ext = _level_solvers(mr, level)
+        current = _extend(ext, mr.keeps[level], current) + errors[level]
     return current

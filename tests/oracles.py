@@ -88,3 +88,13 @@ def dense_polynomial(L, a):
         out += coef * power
         power = power @ L
     return out
+
+
+def dense_green_interpolate(L, kept, vals, eps):
+    """Regularized Green's-function fit: the combination of the columns of
+    ``inv(L + eps I)[:, kept]`` that matches ``vals`` on ``kept``."""
+    L = np.asarray(L, dtype=float)
+    kept = np.asarray(kept, dtype=int)
+    basis = np.linalg.solve(L + eps * np.eye(L.shape[0]),
+                            np.eye(L.shape[0])[:, kept])
+    return basis @ np.linalg.solve(basis[kept], vals)

@@ -316,6 +316,15 @@ class TestRerun:
         mpath.write_text("{}")
         assert run("rerun", mpath) == 2
 
+    def test_manifest_argv_must_be_a_list_of_strings(self, tmp_path):
+        mpath = tmp_path / "m.json"
+        for argv in ("generate ring --n 10 --out r.mtx", ["generate", 10],
+                     None):
+            mpath.write_text(json.dumps({"argv": argv}))
+            assert run("rerun", mpath) == 2
+        mpath.write_text("[]")
+        assert run("rerun", mpath) == 2
+
     def test_missing_manifest_is_exit_1(self, tmp_path):
         assert run("rerun", tmp_path / "none.json") == 1
 

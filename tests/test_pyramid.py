@@ -193,6 +193,11 @@ class TestInterpolate:
         with pytest.raises(exc.ShapeMismatch):
             gs.interpolate(sensor64, [0, 1], [1.0, 2.0, 3.0])
 
+    def test_non_finite_values_rejected(self, sensor64):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(exc.NonFiniteValue):
+                gs.interpolate(sensor64, [0, 1], [1.0, bad])
+
 
 class TestPyramidTransform:
     def test_perfect_reconstruction(self, rng):
@@ -258,3 +263,28 @@ class TestPyramidTransform:
                           level_sizes=pyr.level_sizes)
         with pytest.raises(exc.LevelMismatch):
             gs.pyramid_synthesis(mr, bad2)
+
+    def test_non_finite_signals_rejected(self, rng):
+        mr = gs.graph_multiresolution(gs.sensor(24, seed=6), 2)
+        f = rng.standard_normal(24)
+        f[5] = np.nan
+        with pytest.raises(exc.NonFiniteValue):
+            gs.pyramid_analysis(mr, f)
+        pyr = gs.pyramid_analysis(mr, rng.standard_normal(24))
+        errors = [e.copy() for e in pyr.errors]
+        errors[1][0] = np.inf
+        with pytest.raises(exc.NonFiniteValue):
+            gs.pyramid_synthesis(mr, gs.Pyramid(pyr.coarse, errors,
+                                                pyr.level_sizes))
+        coarse = pyr.coarse.copy()
+        coarse[-1] = -np.inf
+        with pytest.raises(exc.NonFiniteValue):
+            gs.pyramid_synthesis(mr, gs.Pyramid(coarse, pyr.errors,
+                                                pyr.level_sizes))
+
+    def test_synthesis_refuses_a_column_coarse_signal(self, rng):
+        mr = gs.graph_multiresolution(gs.sensor(24, seed=6), 2)
+        pyr = gs.pyramid_analysis(mr, rng.standard_normal(24))
+        column = gs.Pyramid(pyr.coarse[:, None], pyr.errors, pyr.level_sizes)
+        with pytest.raises(exc.ShapeMismatch):
+            gs.pyramid_synthesis(mr, column)

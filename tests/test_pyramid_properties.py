@@ -1,8 +1,10 @@
-"""Property tests for the pyramid level loop and the spectral-bound helper.
+"""Property tests for the pyramid level loop, its interpolation and the
+spectral-bound helper.
 
 Random small sensor graphs; every level of a pyramid must be a Schur
 complement, rebuilding from stored keeps must repeat the reduction exactly,
-and the bound helper must never fall below the true top eigenvalue.
+interpolation must agree with the dense Green's-function fit, and the bound
+helper must never fall below the true top eigenvalue.
 """
 
 from unittest import mock
@@ -15,10 +17,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import graphsig as gs
-from graphsig import spectral
+from graphsig import pyramid, spectral
 from graphsig.spectral import _lmax_bound
 
-from oracles import dense_schur, random_directed_strongly_connected
+from oracles import (dense_green_interpolate, dense_schur,
+                     random_directed_strongly_connected)
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None,
                              derandomize=True)
@@ -48,6 +51,43 @@ def test_kron_reduce_matches_dense_schur(G, seed):
     R = gs.kron_reduce(G.L, kept)
     assert_allclose(R.toarray(), dense_schur(G.L.toarray(), kept),
                     atol=1e-10)
+
+
+@PROPERTY_SETTINGS
+@given(sensor_graphs(), st.integers(0, 3), st.floats(1e-3, 0.5),
+       st.integers(0, 2 ** 32 - 1))
+def test_interpolate_matches_dense_green_fit(G, columns, epsilon, seed):
+    rng = np.random.default_rng(seed)
+    kept = np.sort(rng.choice(G.N, size=rng.integers(1, G.N), replace=False))
+    shape = (kept.size, columns) if columns else (kept.size,)
+    vals = rng.standard_normal(shape)
+    out = gs.interpolate(G, kept, vals, epsilon=epsilon)
+    assert out.shape == (G.N,) + shape[1:]
+    assert_allclose(out, dense_green_interpolate(G.L.toarray(), kept, vals,
+                                                 epsilon), rtol=0, atol=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(sensor_graphs(), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_interpolate_on_every_vertex_returns_the_values(G, columns, seed):
+    shape = (G.N, columns) if columns else (G.N,)
+    vals = np.random.default_rng(seed).standard_normal(shape)
+    assert np.array_equal(gs.interpolate(G, np.arange(G.N), vals), vals)
+
+
+@PROPERTY_SETTINGS
+@given(sensor_graphs(), st.integers(1, 3), st.floats(1e-3, 0.5),
+       st.integers(0, 2 ** 32 - 1))
+def test_cached_level_extension_is_public_interpolate(G, levels, epsilon,
+                                                      seed):
+    mr = gs.graph_multiresolution(G, levels, epsilon=epsilon)
+    rng = np.random.default_rng(seed)
+    for level, kept in enumerate(mr.keeps):
+        vals = rng.standard_normal(kept.size)
+        _, ext = pyramid._level_solvers(mr, level)
+        assert np.array_equal(
+            pyramid._extend(ext, kept, vals),
+            gs.interpolate(mr.graphs[level], kept, vals, epsilon=epsilon))
 
 
 @PROPERTY_SETTINGS
