@@ -1,11 +1,19 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 for usage problems (bad flags, missing files),
-2 when a toolbox operation raises one of its typed errors.  Every successful
-run writes a JSON manifest next to its primary output (override with
-``--manifest``) recording the exact argument vector, resolved parameters,
-output paths and headline numbers; ``graphsig rerun <manifest>`` replays the
-stored argument vector, reproducing the outputs bit for bit.
+Exit codes: 0 on success, 1 for usage problems (bad flags, missing files or
+subcommands), 2 when a toolbox operation raises one of its typed errors.
+Every successful run writes a JSON manifest next to its primary output
+(override with ``--manifest``) recording the exact argument vector, resolved
+parameters, output paths and headline numbers; ``graphsig rerun <manifest>``
+replays the stored argument vector, reproducing the outputs bit for bit.
+
+There is one command path.  :func:`main` parses the arguments, loads the
+graph (``args.graph``) and the signal (``args.signal``) when the command
+has them, calls the handler and writes the manifest.  A handler
+``_cmd_*(args, G, f)`` only computes and writes its own outputs, and returns
+``(primary, parameters, outputs, results)``: the path the manifest is named
+after, and the manifest's three payload fields.  ``G`` and ``f`` are None
+when the command does not take them.
 """
 
 from __future__ import annotations
@@ -42,38 +50,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _manifest_path(primary_out: str, override: Optional[str]) -> str:
-    if override:
-        return override
-    base, _ = os.path.splitext(primary_out)
-    return base + ".manifest.json"
-
-
 def _write_manifest(args, argv: List[str], primary_out: str,
                     parameters: dict, outputs: List[str],
-                    results: Optional[dict] = None) -> str:
+                    results: dict) -> None:
     payload = {
         "tool": "graphsig",
         "command": args.command,
         "argv": list(argv),
         "parameters": parameters,
         "outputs": [str(p) for p in outputs],
+        "results": results,
     }
-    if results:
-        payload["results"] = results
-    mpath = _manifest_path(primary_out, getattr(args, "manifest", None))
-    gio._dump_json(mpath, payload)
-    return mpath
-
-
-def _parse_directed(raw: str):
-    return {"auto": "auto", "true": True, "false": False}[raw]
+    gio._dump_json(args.manifest or
+                   os.path.splitext(primary_out)[0] + ".manifest.json",
+                   payload)
 
 
 def _load_graph(args):
-    kind = getattr(args, "kind", None)
-    return gio.load_graph(args.graph, directed=_parse_directed(args.directed),
-                          kind=kind)
+    directed = {"auto": "auto", "true": True, "false": False}[args.directed]
+    return gio.load_graph(_require_file(args.graph), directed=directed,
+                          kind=args.kind)
 
 
 def _require_file(path: str) -> str:
@@ -105,24 +101,20 @@ _GENERATORS = {
 }
 
 
-def _cmd_generate(args, argv):
+def _cmd_generate(args, _G, _f):
     G = _GENERATORS[args.kind](args)
     outputs = gio.save_graph(args.out, G)
     params = {"kind": args.kind, "n": G.N, "seed": args.seed}
-    results = {"vertices": G.N, "edges": G.Ne}
-    _write_manifest(args, argv, args.out, params, outputs, results)
-    return 0
+    return args.out, params, outputs, {"vertices": G.N, "edges": G.Ne}
 
 
 # ---------------------------------------------------------------------------
 # laplacian / fourier
 # ---------------------------------------------------------------------------
 
-def _cmd_laplacian(args, argv):
+def _cmd_laplacian(args, G, _f):
     if not args.out and not args.out_eigenvalues:
         raise _UsageError("laplacian needs --out and/or --out-eigenvalues")
-    _require_file(args.graph)
-    G = _load_graph(args)
     outputs = []
     results = {"kind": G.lap_kind.value, "vertices": G.N, "edges": G.Ne}
     if args.out:
@@ -133,18 +125,14 @@ def _cmd_laplacian(args, argv):
         gio.save_signal(args.out_eigenvalues, S.e)
         outputs.append(args.out_eigenvalues)
         results["lmax"] = S.lmax
-    primary = args.out or args.out_eigenvalues
-    _write_manifest(args, argv, primary,
-                    {"kind": G.lap_kind.value, "directed": G.directed},
-                    outputs, results)
-    return 0
+    return (args.out or args.out_eigenvalues,
+            {"kind": G.lap_kind.value, "directed": G.directed},
+            outputs, results)
 
 
-def _cmd_fourier(args, argv):
+def _cmd_fourier(args, G, _f):
     if not args.out_eigenvalues and not args.out_basis:
         raise _UsageError("fourier needs --out-eigenvalues and/or --out-basis")
-    _require_file(args.graph)
-    G = _load_graph(args)
     S = compute_fourier_basis(G)
     outputs = []
     if args.out_eigenvalues:
@@ -153,12 +141,10 @@ def _cmd_fourier(args, argv):
     if args.out_basis:
         gio.save_signal(args.out_basis, S.U)
         outputs.append(args.out_basis)
-    primary = args.out_eigenvalues or args.out_basis
     results = {"lmax": S.lmax, "coherence": S.mu,
                "kind": G.lap_kind.value}
-    _write_manifest(args, argv, primary, {"kind": G.lap_kind.value},
-                    outputs, results)
-    return 0
+    return (args.out_eigenvalues or args.out_basis,
+            {"kind": G.lap_kind.value}, outputs, results)
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +188,7 @@ def _build_bank(args, G):
     return design_bank(args.design, G, **_design_params(args))
 
 
-def _cmd_filter(args, argv):
-    _require_file(args.graph)
-    _require_file(args.signal)
-    G = _load_graph(args)
-    f = gio.load_signal(args.signal)
+def _cmd_filter(args, G, f):
     bank = _build_bank(args, G)
     coef = filter_analysis(G, bank, f, method=args.method, order=args.order)
     gio.save_signal(args.out, coef)
@@ -218,20 +200,15 @@ def _cmd_filter(args, argv):
     params = {"design": args.design if not args.bank else "from-file",
               "method": args.method, "order": args.order,
               "kernels": len(bank)}
-    results = {"frame_lower": a, "frame_upper": b, "lmax": bank.lmax}
-    _write_manifest(args, argv, args.out, params, outputs, results)
-    return 0
+    return (args.out, params, outputs,
+            {"frame_lower": a, "frame_upper": b, "lmax": bank.lmax})
 
 
 # ---------------------------------------------------------------------------
 # pyramid
 # ---------------------------------------------------------------------------
 
-def _cmd_pyramid_analyze(args, argv):
-    _require_file(args.graph)
-    _require_file(args.signal)
-    G = _load_graph(args)
-    f = gio.load_signal(args.signal)
+def _cmd_pyramid_analyze(args, G, f):
     mr = graph_multiresolution(G, args.levels, alpha=args.alpha,
                                epsilon=args.epsilon)
     pyr = pyramid_analysis(mr, f)
@@ -240,37 +217,27 @@ def _cmd_pyramid_analyze(args, argv):
               "epsilon": args.epsilon}
     results = {"level_sizes": mr.level_sizes(),
                "fallback_levels": mr.fallback_levels}
-    _write_manifest(args, argv, os.path.join(args.out, "run"),
-                    params, outputs, results)
-    return 0
+    return os.path.join(args.out, "run"), params, outputs, results
 
 
-def _cmd_pyramid_synthesize(args, argv):
-    _require_file(args.graph)
+def _cmd_pyramid_synthesize(args, G, _f):
     if not os.path.isdir(args.pyramid_dir):
         raise FileNotFoundError(f"no such directory: {args.pyramid_dir}")
-    G = _load_graph(args)
     mr, pyr, signal = gio.load_pyramid(args.pyramid_dir, G)
     rec = pyramid_synthesis(mr, pyr)
     gio.save_signal(args.out, rec)
     results = {"level_sizes": mr.level_sizes()}
     if signal is not None:
         results["max_abs_diff"] = float(np.max(np.abs(rec - signal)))
-    _write_manifest(args, argv, args.out,
-                    {"alpha": mr.alpha, "epsilon": mr.epsilon},
-                    [args.out], results)
-    return 0
+    return (args.out, {"alpha": mr.alpha, "epsilon": mr.epsilon},
+            [args.out], results)
 
 
 # ---------------------------------------------------------------------------
 # denoise
 # ---------------------------------------------------------------------------
 
-def _cmd_denoise(args, argv):
-    _require_file(args.graph)
-    _require_file(args.signal)
-    G = _load_graph(args)
-    y = gio.load_signal(args.signal)
+def _cmd_denoise(args, G, y):
     outputs = [args.out]
     params = {"solver": args.solver}
     if args.solver == "tv":
@@ -311,8 +278,7 @@ def _cmd_denoise(args, argv):
                "objective": report.objective,
                "converged": report.converged,
                "snr_vs_input": snr(y, x) if np.asarray(y).ndim == 1 else None}
-    _write_manifest(args, argv, args.out, params, outputs, results)
-    return 0
+    return args.out, params, outputs, results
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +296,7 @@ def _style_from_args(args) -> Optional[PlotStyle]:
     return PlotStyle(**overrides) if overrides else None
 
 
-def _cmd_plot_graph(args, argv):
-    _require_file(args.graph)
-    G = _load_graph(args)
-    signal = gio.load_signal(_require_file(args.signal)) if args.signal \
-        else None
+def _cmd_plot_graph(args, G, signal):
     ext = os.path.splitext(args.out)[1].lower()
     fmt = args.format or ("dot" if ext == ".dot" else "svg")
     if fmt == "dot":
@@ -342,40 +304,32 @@ def _cmd_plot_graph(args, argv):
     else:
         export_graph_svg(G, signal=signal, style=_style_from_args(args),
                          path=args.out)
-    _write_manifest(args, argv, args.out,
-                    {"format": fmt, "signal": bool(args.signal)},
-                    [args.out], {"vertices": G.N, "edges": G.Ne})
-    return 0
+    return (args.out, {"format": fmt, "signal": bool(args.signal)},
+            [args.out], {"vertices": G.N, "edges": G.Ne})
 
 
-def _cmd_plot_filters(args, argv):
-    if args.graph:
-        _require_file(args.graph)
-        bank = _build_bank(args, _load_graph(args))
+def _cmd_plot_filters(args, G, _f):
+    if G is not None:
+        bank = _build_bank(args, G)
+    elif args.bank:
+        bank = gio.load_filter_bank(_require_file(args.bank))
+    elif args.lmax:
+        if args.design == "warped_translates":
+            raise _UsageError("warped_translates needs --graph, not --lmax")
+        bank = design_bank(args.design, args.lmax, **_design_params(args))
     else:
-        if args.bank:
-            bank = gio.load_filter_bank(_require_file(args.bank))
-        elif args.lmax:
-            if args.design == "warped_translates":
-                raise _UsageError(
-                    "warped_translates needs --graph, not --lmax")
-            bank = design_bank(args.design, args.lmax,
-                               **_design_params(args))
-        else:
-            raise _UsageError("plot filters needs --graph, --bank or --lmax")
+        raise _UsageError("plot filters needs --graph, --bank or --lmax")
     export_filter_svg(bank, grid_size=args.grid, path=args.out)
     a, b = frame_bounds(bank)
-    _write_manifest(args, argv, args.out,
-                    {"design": args.design, "kernels": len(bank)},
-                    [args.out], {"frame_lower": a, "frame_upper": b})
-    return 0
+    return (args.out, {"design": args.design, "kernels": len(bank)},
+            [args.out], {"frame_lower": a, "frame_upper": b})
 
 
 # ---------------------------------------------------------------------------
 # rerun
 # ---------------------------------------------------------------------------
 
-def _cmd_rerun(args, argv):
+def _cmd_rerun(args):
     mpath = _require_file(args.manifest_file)
     manifest = gio._load_json(mpath)
     stored = manifest.get("argv") if isinstance(manifest, dict) else None
@@ -435,7 +389,7 @@ def build_parser() -> _Parser:
                      description="Graph signal processing toolbox")
     parser.add_argument("--manifest", default=None,
                         help="run-manifest path (default: next to the output)")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a graph from a named family")
     p.add_argument("kind", choices=list(_GENERATORS))
@@ -481,7 +435,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("pyramid", help="multiresolution analysis/synthesis")
-    psub = p.add_subparsers(dest="pyramid_command")
+    psub = p.add_subparsers(dest="pyramid_command", required=True)
     pa = psub.add_parser("analyze", help="decompose a signal")
     _add_graph_args(pa)
     pa.add_argument("--signal", required=True)
@@ -517,7 +471,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_denoise)
 
     p = sub.add_parser("plot", help="SVG/DOT export")
-    plsub = p.add_subparsers(dest="plot_command")
+    plsub = p.add_subparsers(dest="plot_command", required=True)
     pg = plsub.add_parser("graph", help="draw a graph")
     _add_graph_args(pg)
     pg.add_argument("--signal", default=None, help="color vertices by this CSV")
@@ -545,42 +499,35 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("rerun", help="replay a run manifest")
     p.add_argument("manifest_file")
-    p.set_defaults(func=_cmd_rerun)
 
+    # A missing subcommand is reported with the choices, as help lists them.
+    for s in (sub, psub, plsub):
+        s.metavar = "{" + ",".join(s.choices) + "}"
     return parser
 
 
 def main(argv=None) -> int:
-    """Parse and dispatch; returns the process exit code."""
+    """Parse, load the inputs, run the handler and write its manifest;
+    returns the process exit code."""
     if argv is None:
         argv = sys.argv[1:]
     argv = [str(a) for a in argv]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help and friends
-        code = exc.code
-        return 0 if code in (0, None) else 1
-    if getattr(args, "command", None) is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    if args.command == "pyramid" and getattr(args, "pyramid_command", None) \
-            is None:
-        print("usage error: pyramid needs 'analyze' or 'synthesize'",
-              file=sys.stderr)
-        return 1
-    if args.command == "plot" and getattr(args, "plot_command", None) is None:
-        print("usage error: plot needs 'graph' or 'filters'", file=sys.stderr)
-        return 1
+        return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args, argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+        if args.command == "rerun":
+            return _cmd_rerun(args)
+        G = _load_graph(args) if getattr(args, "graph", None) else None
+        f = gio.load_signal(_require_file(args.signal)) \
+            if getattr(args, "signal", None) else None
+        _write_manifest(args, argv, *args.func(args, G, f))
+        return 0
+    except (_UsageError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except GraphSigError as exc:

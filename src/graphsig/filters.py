@@ -273,18 +273,15 @@ def _warp_from_knots(knots_x: np.ndarray, knots_y: np.ndarray):
     return lambda x: np.interp(np.asarray(x, dtype=float), knots_x, knots_y)
 
 
-def _warped_bank(knots_x, knots_y, n_filters: int, lmax: float,
-                 descriptor: bool = True) -> FilterBank:
+def _warped_bank(knots_x, knots_y, n_filters: int, lmax: float) -> FilterBank:
     knots_x = np.asarray(knots_x, dtype=float)
     knots_y = np.asarray(knots_y, dtype=float)
     warp = _warp_from_knots(knots_x, knots_y)
     kernels = _uniform_translate_kernels(n_filters, warp=warp, lmax=lmax)
-    design = None
-    if descriptor:
-        design = {"kind": "warped_translates", "lmax": float(lmax),
-                  "params": {"n_filters": int(n_filters),
-                             "knots_x": knots_x.tolist(),
-                             "knots_y": knots_y.tolist()}}
+    design = {"kind": "warped_translates", "lmax": float(lmax),
+              "params": {"n_filters": int(n_filters),
+                         "knots_x": knots_x.tolist(),
+                         "knots_y": knots_y.tolist()}}
     return FilterBank(kernels, float(lmax), design=design)
 
 

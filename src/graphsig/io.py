@@ -40,10 +40,7 @@ def save_weights(path, G: Graph) -> None:
     Undirected graphs use the ``symmetric`` storage qualifier (only one
     triangle on disk), directed ones ``general``.
     """
-    W = sp.coo_matrix(G.W)
-    symmetry = "general" if G.directed else "symmetric"
-    sio.mmwrite(str(path), W, field="real", symmetry=symmetry,
-                precision=17)
+    save_sparse_matrix(path, G.W, symmetric=not G.directed)
 
 
 def save_sparse_matrix(path, M, symmetric: Optional[bool] = None) -> None:
@@ -87,7 +84,7 @@ def save_graph(path, G: Graph) -> List[str]:
     written = [str(path)]
     if G.coords is not None:
         cpath = coords_path_for(path)
-        save_matrix_csv(cpath, G.coords)
+        save_signal(cpath, G.coords)
         written.append(cpath)
     return written
 
@@ -98,9 +95,7 @@ def load_graph(path, directed="auto", kind=None, name: str = "") -> Graph:
     coords = None
     cpath = coords_path_for(path)
     if os.path.exists(cpath):
-        coords = load_matrix_csv(cpath)
-        if coords.ndim == 1:
-            coords = coords[:, None]
+        coords = _load_csv(cpath, ndmin=2)
         if coords.shape[1] == 1:
             coords = np.column_stack([coords[:, 0],
                                       np.zeros(coords.shape[0])])
@@ -121,18 +116,15 @@ def save_signal(path, values) -> None:
     np.savetxt(str(path), arr, fmt=FLOAT_FMT, delimiter=",")
 
 
-save_matrix_csv = save_signal
-
-
-def load_signal(path) -> np.ndarray:
-    """Read a headerless CSV signal; single column loads as 1-D.
+def _load_csv(path, ndmin: int) -> np.ndarray:
+    """Read a headerless CSV with at least ``ndmin`` dimensions.
 
     Raises:
         BadParameter: Malformed CSV.
         NonFiniteValue: NaN or infinity in the data.
     """
     try:
-        arr = np.loadtxt(str(path), delimiter=",", dtype=float, ndmin=1)
+        arr = np.loadtxt(str(path), delimiter=",", dtype=float, ndmin=ndmin)
     except ValueError as exc:
         raise BadParameter(f"cannot parse {path} as CSV: {exc}") from exc
     if not np.all(np.isfinite(arr)):
@@ -140,14 +132,10 @@ def load_signal(path) -> np.ndarray:
     return arr
 
 
-def load_matrix_csv(path) -> np.ndarray:
-    try:
-        arr = np.loadtxt(str(path), delimiter=",", dtype=float, ndmin=2)
-    except ValueError as exc:
-        raise BadParameter(f"cannot parse {path} as CSV: {exc}") from exc
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue(f"{path} contains NaN or infinite entries")
-    return arr
+def load_signal(path) -> np.ndarray:
+    """Read a headerless CSV signal (one column per signal); a single column
+    loads as 1-D.  Raises as :func:`_load_csv`."""
+    return _load_csv(path, ndmin=1)
 
 
 # ---------------------------------------------------------------------------

@@ -106,8 +106,7 @@ def prox_tv(G: Graph, y, gamma: float, max_iter: int = 1000,
         return 0.5 * float(np.sum((x - arr) ** 2)) \
             + gamma * float(np.sum(np.abs(D @ x)))
 
-    def dual(p):
-        dtp = D.T @ p
+    def dual(p, dtp):
         return float(np.sum(p * Dy)) - 0.5 * float(np.sum(dtp ** 2))
 
     p = np.zeros((ne, arr.shape[1]))
@@ -121,9 +120,10 @@ def prox_tv(G: Graph, y, gamma: float, max_iter: int = 1000,
     for it in range(1, max_iter + 1):
         grad_dual = D @ (arr - D.T @ z)
         p_new = np.clip(z + step * grad_dual, -gamma, gamma)
-        x = arr - D.T @ p_new
+        dtp = D.T @ p_new
+        x = arr - dtp
         obj = primal(x)
-        gap = obj - dual(p_new)
+        gap = obj - dual(p_new, dtp)
         rel_gap = gap / (1.0 + abs(obj))
         if rel_gap < best_gap:
             best_gap, best_x, best_obj = rel_gap, x, obj

@@ -124,8 +124,8 @@ class Multiresolution:
     fallback_levels: List[int] = field(default_factory=list)
 
     def __post_init__(self):
-        # Per level: (smoothing LU or None, extension), see _level_solvers.
-        self._solvers = [None] * len(self.keeps)
+        # Per level: the solvers built so far, see _level_solver.
+        self._solvers = [{} for _ in self.keeps]
 
     @property
     def n_levels(self) -> int:
@@ -294,31 +294,39 @@ def interpolate(G: Graph, kept, values, epsilon: float = 0.005) -> np.ndarray:
     ``R``, ``x_R = -inv(L_RR + epsilon I) @ L_RK @ values``.  That costs one
     sparse LU and no dense N x |K| block.  The surface follows the graph
     structure, with a bias of order ``epsilon`` on globally smooth inputs.
-    A kept set covering the whole graph returns the values unchanged.
+    A kept set covering the whole graph returns the values, placed on their
+    vertices.
 
     Args:
         G: The graph (any symmetric Laplacian; combinatorial in the pyramid).
-        kept: Indices the values live on; values follow their sorted order.
+        kept: Distinct indices the values live on, in any order;
+            ``values[i]`` is the value at vertex ``kept[i]``.
         values: One value per kept index, or a matrix with one column per
             signal.
         epsilon: Positive regularization.
 
     Raises:
+        BadParameter: ``kept`` repeats an index.
         ShapeMismatch: ``values`` does not match ``kept``.
         NonFiniteValue: ``values`` holds NaN or infinite entries.
         SolverFailure: The extension system is singular.
     """
     if epsilon <= 0:
         raise BadParameter(f"epsilon must be positive, got {epsilon}")
-    kept = _check_kept(G.N, kept)
+    given = np.asarray(kept, dtype=int).ravel()
+    kept = _check_kept(G.N, given)
+    if kept.size != given.size:
+        raise BadParameter("kept indices must not repeat")
     vals = np.asarray(values, dtype=float)
     if vals.ndim not in (1, 2) or vals.shape[0] != kept.size:
         raise ShapeMismatch(
             f"expected {kept.size} values, got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValue("values contain NaN or infinite entries")
+    # Pair each value with its own index: reorder to the sorted kept set.
+    vals = vals[np.argsort(given, kind="stable")]
     if kept.size == G.N:
-        return vals.copy()
+        return vals
     return _extend(_extension(G.L, kept, float(epsilon)), kept, vals)
 
 
@@ -338,19 +346,20 @@ class Pyramid:
     level_sizes: List[int]
 
 
-def _level_solvers(mr: Multiresolution, level: int):
-    """``(LU of I + alpha L or None if alpha == 0, _extension)`` of one
-    level, built on first use."""
-    if mr._solvers[level] is None:
+def _level_solver(mr: Multiresolution, level: int, kind: str):
+    """One level's smoothing LU of ``I + alpha L`` (``kind="smooth"``, used
+    by analysis only) or its :func:`_extension` (``kind="extend"``), built
+    on first use."""
+    cache = mr._solvers[level]
+    if kind not in cache:
         L = mr.graphs[level].L
-        smooth = None
-        if mr.alpha != 0:
-            smooth = _splu(sp.csc_array(L) * mr.alpha +
-                           sp.eye_array(L.shape[0], format="csc"),
-                           SolverFailure, "smoothing solve failed")
-        mr._solvers[level] = (smooth, _extension(L, mr.keeps[level],
-                                                 mr.epsilon))
-    return mr._solvers[level]
+        if kind == "smooth":
+            cache[kind] = _splu(sp.csc_array(L) * mr.alpha +
+                                sp.eye_array(L.shape[0], format="csc"),
+                                SolverFailure, "smoothing solve failed")
+        else:
+            cache[kind] = _extension(L, mr.keeps[level], mr.epsilon)
+    return cache[kind]
 
 
 def _level_signal(G: Graph, x, label: str, size_error) -> np.ndarray:
@@ -380,10 +389,11 @@ def pyramid_analysis(mr: Multiresolution, f) -> Pyramid:
     errors: List[np.ndarray] = []
     for level in range(mr.n_levels):
         kept = mr.keeps[level]
-        smooth, ext = _level_solvers(mr, level)
-        smoothed = current if smooth is None else smooth.solve(current)
+        smoothed = current if mr.alpha == 0 else \
+            _level_solver(mr, level, "smooth").solve(current)
         coarse = smoothed[kept]
-        errors.append(current - _extend(ext, kept, coarse))
+        errors.append(current - _extend(_level_solver(mr, level, "extend"),
+                                        kept, coarse))
         current = coarse
     return Pyramid(coarse=current, errors=errors,
                    level_sizes=mr.level_sizes())
@@ -410,6 +420,6 @@ def pyramid_synthesis(mr: Multiresolution, pyr: Pyramid) -> np.ndarray:
                             LevelMismatch)
               for level, err in enumerate(pyr.errors)]
     for level in range(mr.n_levels - 1, -1, -1):
-        _, ext = _level_solvers(mr, level)
-        current = _extend(ext, mr.keeps[level], current) + errors[level]
+        current = _extend(_level_solver(mr, level, "extend"),
+                          mr.keeps[level], current) + errors[level]
     return current

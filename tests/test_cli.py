@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,7 +143,7 @@ class TestLaplacianFourier:
         eout, uout = tmp / "e.csv", tmp / "U.csv"
         assert run("fourier", gpath, "--out-eigenvalues", eout,
                    "--out-basis", uout) == 0
-        U = gio.load_matrix_csv(uout)
+        U = gio.load_signal(uout)
         assert_allclose(U.T @ U, np.eye(40), atol=1e-10)
         manifest = json.loads((tmp / "e.manifest.json").read_text())
         assert 0 < manifest["results"]["coherence"] <= 1
@@ -156,7 +157,7 @@ class TestFilter:
         assert run("filter", gpath, "--signal", spath, "--out", c1,
                    "--design", "itersine", "--filters", 4,
                    "--save-bank", bpath) == 0
-        coef = gio.load_matrix_csv(c1)
+        coef = gio.load_signal(c1)
         assert coef.shape == (40, 4)
         manifest = json.loads((tmp / "c1.manifest.json").read_text())
         assert manifest["results"]["frame_lower"] == pytest.approx(1.0)
@@ -251,7 +252,7 @@ class TestDenoise:
                    "--filters", 3, "--lam", 0.01, "--mask", mpath,
                    "--method", "exact", "--max-iter", 200,
                    "--out-coefficients", cpath) == 0
-        assert gio.load_matrix_csv(cpath).shape == (40, 3)
+        assert gio.load_signal(cpath).shape == (40, 3)
         assert gio.load_signal(out).shape == (40,)
 
 
@@ -327,6 +328,86 @@ class TestRerun:
 
     def test_missing_manifest_is_exit_1(self, tmp_path):
         assert run("rerun", tmp_path / "none.json") == 1
+
+
+#: One call per graph-reading subcommand: the argv built from the graph,
+#: the signal and the working directory, and the manifest path within it.
+EVERY_COMMAND = {
+    "laplacian": (lambda g, y, d: [
+        "laplacian", g, "--out", d / "L.mtx", "--out-eigenvalues",
+        d / "e.csv"], "L.manifest.json"),
+    "fourier": (lambda g, y, d: [
+        "fourier", g, "--out-eigenvalues", d / "e.csv", "--out-basis",
+        d / "U.csv"], "e.manifest.json"),
+    "filter": (lambda g, y, d: [
+        "filter", g, "--signal", y, "--filters", 4, "--out", d / "c.csv",
+        "--save-bank", d / "bank.json"], "c.manifest.json"),
+    "pyramid analyze": (lambda g, y, d: [
+        "pyramid", "analyze", g, "--signal", y, "--levels", 2,
+        "--out", d / "pyr"], "pyr/run.manifest.json"),
+    "pyramid synthesize": (lambda g, y, d: [
+        "pyramid", "synthesize", g, d / "stored", "--out", d / "rec.csv"],
+        "rec.manifest.json"),
+    "denoise tv": (lambda g, y, d: [
+        "denoise", g, "--signal", y, "--solver", "tv", "--gamma", 0.2,
+        "--out", d / "tv.csv", "--report", d / "rep.json"],
+        "tv.manifest.json"),
+    "denoise bpdn": (lambda g, y, d: [
+        "denoise", g, "--signal", y, "--solver", "bpdn", "--filters", 3,
+        "--lam", 0.01, "--mask", d / "mask.csv", "--max-iter", 50,
+        "--out", d / "b.csv", "--out-coefficients", d / "bc.csv"],
+        "b.manifest.json"),
+    "plot graph": (lambda g, y, d: [
+        "plot", "graph", g, "--signal", y, "--out", d / "view.svg"],
+        "view.manifest.json"),
+    "plot filters": (lambda g, y, d: [
+        "plot", "filters", "--graph", g, "--design", "mexican_hat",
+        "--scales", 4, "--out", d / "f.svg"], "f.manifest.json"),
+}
+
+
+@pytest.fixture()
+def command_inputs(sensor_files):
+    """``sensor_files`` plus a bpdn mask and a stored pyramid."""
+    tmp, gpath, spath = sensor_files
+    mask = np.ones(40)
+    mask[::4] = 0.0
+    gio.save_signal(tmp / "mask.csv", mask)
+    assert run("pyramid", "analyze", gpath, "--signal", spath,
+               "--levels", 2, "--out", tmp / "stored") == 0
+    return tmp, gpath, spath
+
+
+@pytest.mark.parametrize("name", list(EVERY_COMMAND))
+class TestEveryCommand:
+    def test_manifest_and_byte_identical_rerun(self, command_inputs, name):
+        tmp, gpath, spath = command_inputs
+        build, manifest = EVERY_COMMAND[name]
+        argv = [str(a) for a in build(gpath, spath, tmp)]
+        assert main(argv) == 0
+        mpath = tmp / manifest
+        recorded = json.loads(mpath.read_text())
+        assert set(recorded) == {"tool", "command", "argv", "parameters",
+                                 "outputs", "results"}
+        assert recorded["tool"] == "graphsig"
+        assert recorded["command"] == argv[0]
+        assert recorded["argv"] == argv
+        written = {p: Path(p).read_bytes() for p in recorded["outputs"]}
+        assert written
+        stored = mpath.read_bytes()
+        for p in written:
+            Path(p).unlink()
+        assert run("rerun", mpath) == 0
+        assert {p: Path(p).read_bytes() for p in written} == written
+        assert mpath.read_bytes() == stored
+
+    def test_missing_graph_or_signal_is_exit_1(self, command_inputs, name):
+        tmp, gpath, spath = command_inputs
+        build, _ = EVERY_COMMAND[name]
+        ghost = tmp / "ghost"
+        assert run(*build(ghost, spath, tmp)) == 1
+        if "--signal" in build(gpath, spath, tmp):
+            assert run(*build(gpath, ghost, tmp)) == 1
 
 
 class TestTopLevel:

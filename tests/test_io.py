@@ -104,7 +104,7 @@ class TestSignals:
         M = rng.standard_normal((10, 3))
         p = tmp_path / "m.csv"
         gio.save_signal(p, M)
-        assert np.array_equal(gio.load_matrix_csv(p), M)
+        assert np.array_equal(gio.load_signal(p), M)
 
     def test_single_value_loads_1d(self, tmp_path):
         p = tmp_path / "one.csv"

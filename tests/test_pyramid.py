@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 import graphsig as gs
 from graphsig import exceptions as exc
+from graphsig import pyramid
 
 from oracles import dense_schur
 
@@ -198,6 +199,16 @@ class TestInterpolate:
             with pytest.raises(exc.NonFiniteValue):
                 gs.interpolate(sensor64, [0, 1], [1.0, bad])
 
+    def test_values_follow_the_given_kept_order(self):
+        G = gs.path(6)
+        out = gs.interpolate(G, [5, 0], [10.0, -10.0])
+        assert out[5] == 10.0 and out[0] == -10.0
+        assert np.array_equal(out, gs.interpolate(G, [0, 5], [-10.0, 10.0]))
+
+    def test_repeated_kept_index_refused(self):
+        with pytest.raises(exc.BadParameter):
+            gs.interpolate(gs.path(6), [0, 0, 5], [1.0, 2.0])
+
 
 class TestPyramidTransform:
     def test_perfect_reconstruction(self, rng):
@@ -281,6 +292,24 @@ class TestPyramidTransform:
         with pytest.raises(exc.NonFiniteValue):
             gs.pyramid_synthesis(mr, gs.Pyramid(coarse, pyr.errors,
                                                 pyr.level_sizes))
+
+    def test_synthesis_makes_no_smoothing_factorization(self, rng,
+                                                        monkeypatch):
+        G = gs.sensor(48, seed=9)
+        mr = gs.graph_multiresolution(G, 2, alpha=1.5)
+        pyr = gs.pyramid_analysis(mr, rng.standard_normal(48))
+        fresh = gs.multiresolution_from_keeps(G, mr.keeps, alpha=1.5)
+        factored = []
+
+        def splu(A, error, what):
+            factored.append(what)
+            return real(A, error, what)
+
+        real = pyramid._splu
+        monkeypatch.setattr(pyramid, "_splu", splu)
+        gs.pyramid_synthesis(fresh, pyr)
+        assert len(factored) == mr.n_levels
+        assert not any(w.startswith("smoothing") for w in factored)
 
     def test_synthesis_refuses_a_column_coarse_signal(self, rng):
         mr = gs.graph_multiresolution(gs.sensor(24, seed=6), 2)

@@ -76,6 +76,19 @@ def test_interpolate_on_every_vertex_returns_the_values(G, columns, seed):
 
 
 @PROPERTY_SETTINGS
+@given(sensor_graphs(), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_interpolate_pairs_values_with_the_given_order(G, columns, seed):
+    rng = np.random.default_rng(seed)
+    given_order = rng.choice(G.N, size=rng.integers(1, G.N + 1),
+                             replace=False)
+    shape = (given_order.size, columns) if columns else (given_order.size,)
+    vals = rng.standard_normal(shape)
+    order = np.argsort(given_order)
+    assert np.array_equal(gs.interpolate(G, given_order, vals),
+                          gs.interpolate(G, given_order[order], vals[order]))
+
+
+@PROPERTY_SETTINGS
 @given(sensor_graphs(), st.integers(1, 3), st.floats(1e-3, 0.5),
        st.integers(0, 2 ** 32 - 1))
 def test_cached_level_extension_is_public_interpolate(G, levels, epsilon,
@@ -84,7 +97,7 @@ def test_cached_level_extension_is_public_interpolate(G, levels, epsilon,
     rng = np.random.default_rng(seed)
     for level, kept in enumerate(mr.keeps):
         vals = rng.standard_normal(kept.size)
-        _, ext = pyramid._level_solvers(mr, level)
+        ext = pyramid._level_solver(mr, level, "extend")
         assert np.array_equal(
             pyramid._extend(ext, kept, vals),
             gs.interpolate(mr.graphs[level], kept, vals, epsilon=epsilon))
