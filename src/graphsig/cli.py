@@ -7,13 +7,14 @@ Every successful run writes a JSON manifest next to its primary output
 parameters, output paths and headline numbers; ``graphsig rerun <manifest>``
 replays the stored argument vector, reproducing the outputs bit for bit.
 
-There is one command path.  :func:`main` parses the arguments, loads the
-graph (``args.graph``) and the signal (``args.signal``) when the command
-has them, calls the handler and writes the manifest.  A handler
-``_cmd_*(args, G, f)`` only computes and writes its own outputs, and returns
-``(primary, parameters, outputs, results)``: the path the manifest is named
-after, and the manifest's three payload fields.  ``G`` and ``f`` are None
-when the command does not take them.
+There is one command path.  :func:`main` parses the arguments, refuses a
+command that sets none of the flags it needs one of (before reading any
+file), loads the graph (``args.graph``) and the signal (``args.signal``)
+when the command has them, calls the handler and writes the manifest.  A
+handler ``_cmd_*(args, G, f)`` only computes and writes its own outputs, and
+returns ``(primary, parameters, outputs, results)``: the path the manifest
+is named after, and the manifest's three payload fields.  ``G`` and ``f``
+are None when the command does not take them.
 """
 
 from __future__ import annotations
@@ -72,6 +73,20 @@ def _load_graph(args):
                           kind=args.kind)
 
 
+def _require_one_of(p, *flags) -> None:
+    """Make :func:`main` refuse a run of subcommand ``p`` that sets none of
+    ``flags``, before it loads any input."""
+    p.set_defaults(one_of=(p.prog.partition(" ")[2], flags))
+
+
+def _check_one_of(args) -> None:
+    name, flags = getattr(args, "one_of", ("", ()))
+    if flags and not any(getattr(args, f[2:].replace("-", "_"))
+                         for f in flags):
+        raise _UsageError(
+            f"{name} needs {', '.join(flags[:-1])} or {flags[-1]}")
+
+
 def _require_file(path: str) -> str:
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
@@ -113,8 +128,6 @@ def _cmd_generate(args, _G, _f):
 # ---------------------------------------------------------------------------
 
 def _cmd_laplacian(args, G, _f):
-    if not args.out and not args.out_eigenvalues:
-        raise _UsageError("laplacian needs --out and/or --out-eigenvalues")
     outputs = []
     results = {"kind": G.lap_kind.value, "vertices": G.N, "edges": G.Ne}
     if args.out:
@@ -131,8 +144,6 @@ def _cmd_laplacian(args, G, _f):
 
 
 def _cmd_fourier(args, G, _f):
-    if not args.out_eigenvalues and not args.out_basis:
-        raise _UsageError("fourier needs --out-eigenvalues and/or --out-basis")
     S = compute_fourier_basis(G)
     outputs = []
     if args.out_eigenvalues:
@@ -313,12 +324,10 @@ def _cmd_plot_filters(args, G, _f):
         bank = _build_bank(args, G)
     elif args.bank:
         bank = gio.load_filter_bank(_require_file(args.bank))
-    elif args.lmax:
+    else:
         if args.design == "warped_translates":
             raise _UsageError("warped_translates needs --graph, not --lmax")
         bank = design_bank(args.design, args.lmax, **_design_params(args))
-    else:
-        raise _UsageError("plot filters needs --graph, --bank or --lmax")
     export_filter_svg(bank, grid_size=args.grid, path=args.out)
     a, b = frame_bounds(bank)
     return (args.out, {"design": args.design, "kernels": len(bank)},
@@ -417,6 +426,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-eigenvalues", default=None,
                    help="eigenvalue CSV output (triggers a dense solve)")
     p.set_defaults(func=_cmd_laplacian)
+    _require_one_of(p, "--out", "--out-eigenvalues")
 
     p = sub.add_parser("fourier", help="dense eigendecomposition")
     _add_graph_args(p)
@@ -424,6 +434,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-basis", default=None,
                    help="CSV of eigenvectors, one per column")
     p.set_defaults(func=_cmd_fourier)
+    _require_one_of(p, "--out-eigenvalues", "--out-basis")
 
     p = sub.add_parser("filter", help="run a filter bank over a signal")
     _add_graph_args(p)
@@ -496,6 +507,7 @@ def build_parser() -> _Parser:
                     help="evaluation points")
     _add_design_args(pf)
     pf.set_defaults(func=_cmd_plot_filters)
+    _require_one_of(pf, "--graph", "--bank", "--lmax")
 
     p = sub.add_parser("rerun", help="replay a run manifest")
     p.add_argument("manifest_file")
@@ -522,6 +534,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "rerun":
             return _cmd_rerun(args)
+        _check_one_of(args)
         G = _load_graph(args) if getattr(args, "graph", None) else None
         f = gio.load_signal(_require_file(args.signal)) \
             if getattr(args, "signal", None) else None

@@ -8,10 +8,12 @@ arbitrary callables do not.
 
 Filtering runs either through the exact eigenbasis or through a Chebyshev
 polynomial approximation that only touches the sparse Laplacian, which is the
-path that scales.  Both go through one bank routine.  A Chebyshev call costs
-``order`` sparse products for the whole bank: analysis shares one forward
-recurrence across the kernels and synthesis runs one Clenshaw recurrence.  An
-exact call costs two dense products with the eigenvector matrix.
+path that scales.  Both go through one bank operator, which builds the kernel
+responses or the Chebyshev coefficients once and can then be applied any
+number of times.  A Chebyshev application costs ``order`` sparse products for
+the whole bank: analysis shares one forward recurrence across the kernels and
+synthesis runs one Clenshaw recurrence.  An exact application costs two dense
+products with the eigenvector matrix.
 """
 
 from __future__ import annotations
@@ -461,25 +463,36 @@ def chebyshev_apply(G: Graph, coeffs: ChebyshevCoeffs, f) -> np.ndarray:
 # Bank application
 # ---------------------------------------------------------------------------
 
-def _apply_bank(G: Graph, bank: FilterBank, X: np.ndarray, method: str,
-                order: int, adjoint: bool = False) -> np.ndarray:
-    """Apply a bank to a 2-D block: the one routine behind all filtering.
+def _bank_operator(G: Graph, bank: FilterBank, method: str, order: int):
+    """Prepare a bank on a graph once: the one routine behind all filtering.
 
-    Analysis maps ``(N, k)`` signals to ``(N, len(bank) * k)`` kernel-major
-    coefficients; ``adjoint=True`` is synthesis, mapping those back to
-    ``(N, k)``.
+    The method check, the spectral data and either the kernel responses on
+    the eigenvalues (exact) or the ``(len(bank), order + 1)`` Chebyshev
+    coefficient matrix are computed here, once, not per application.  The
+    returned ``apply(X, adjoint=False)`` maps ``(N, k)`` signals to
+    ``(N, len(bank) * k)`` kernel-major coefficients; ``adjoint=True`` is
+    synthesis, mapping those back to ``(N, k)``.  An exact application
+    costs two dense products with the eigenvector matrix, a Chebyshev one
+    ``order`` sparse products for the whole bank.
     """
     if method == "exact":
         S = get_spectral(G, "exact filtering")
-        resp, spec = bank.evaluate(S.e), S.U.T @ X
-        if adjoint:
-            return S.U @ np.einsum("jn,njk->nk", resp,
-                                   spec.reshape(G.N, len(bank), -1))
-        return S.U @ np.einsum("jn,nk->njk", resp, spec).reshape(G.N, -1)
+        resp = bank.evaluate(S.e)
+
+        def apply(X, adjoint=False):
+            spec = S.U.T @ X
+            if adjoint:
+                return S.U @ np.einsum("jn,njk->nk", resp,
+                                       spec.reshape(G.N, len(bank), -1))
+            return S.U @ np.einsum("jn,nk->njk", resp, spec).reshape(G.N, -1)
+        return apply
     if method == "chebyshev":
         lmax = get_lmax(G, "chebyshev filtering")
         C = np.vstack([chebyshev_coeffs(kern, order, lmax).c for kern in bank])
-        return _chebyshev_bank(G.L, C, lmax, X, adjoint)
+
+        def apply(X, adjoint=False):
+            return _chebyshev_bank(G.L, C, lmax, X, adjoint)
+        return apply
     raise BadParameter(
         f"method must be 'exact' or 'chebyshev', got {method!r}")
 
@@ -502,7 +515,7 @@ def filter_analysis(G: Graph, bank: FilterBank, f, method: str = "exact",
         squeezed to 1-D for a single-kernel bank.
     """
     arr = _as_signal(G, f)
-    out = _apply_bank(G, bank, arr.reshape(G.N, -1), method, order)
+    out = _bank_operator(G, bank, method, order)(arr.reshape(G.N, -1))
     return out[:, 0] if arr.ndim == 1 and len(bank) == 1 else out
 
 
@@ -525,7 +538,7 @@ def filter_synthesis(G: Graph, bank: FilterBank, coefficients,
         raise ShapeMismatch(
             f"coefficients must be (N={G.N}, {len(bank)}*k), got shape "
             f"{np.asarray(coefficients).shape}")
-    out = _apply_bank(G, bank, arr, method, order, adjoint=True)
+    out = _bank_operator(G, bank, method, order)(arr, adjoint=True)
     return out[:, 0] if out.shape[1] == 1 else out
 
 

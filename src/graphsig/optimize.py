@@ -16,8 +16,8 @@ import scipy.sparse.linalg as spl
 
 from .exceptions import BadParameter, NotTightFrame, ShapeMismatch, SolverFailure
 # filter_analysis and filter_synthesis stay importable from this module.
-from .filters import (FilterBank, _apply_bank, filter_analysis,  # noqa: F401
-                      filter_synthesis, frame_bounds)
+from .filters import (FilterBank, _bank_operator,  # noqa: F401
+                      filter_analysis, filter_synthesis, frame_bounds)
 from .graphs import Graph, _as_signal
 from .operators import incidence
 from .spectral import _lmax_bound, get_lmax
@@ -246,9 +246,10 @@ def wavelet_denoise(G: Graph, bank: FilterBank, y, tau: float,
             f"frame bounds A={a:.6g}, B={b:.6g} differ; wavelet_denoise "
             "needs a tight frame — use solve_bpdn instead")
     y = _as_signal(G, y)
-    coef = _apply_bank(G, bank, y.reshape(G.N, -1), method, order)
+    apply = _bank_operator(G, bank, method, order)
+    coef = apply(y.reshape(G.N, -1))
     shrunk = _soft(coef, float(tau))
-    x = _apply_bank(G, bank, shrunk, method, order, adjoint=True) / a
+    x = apply(shrunk, adjoint=True) / a
     delta = shrunk - coef
     obj = float(tau * np.sum(np.abs(shrunk)) + 0.5 * np.sum(delta ** 2))
     report = SolverReport(iterations=1, objective=obj, residual=0.0,
@@ -266,6 +267,8 @@ def solve_bpdn(G: Graph, bank: FilterBank, y, lam: float = 0.1,
     with restart; an overshooting momentum step falls back to a plain
     gradient step, so the recorded objective never increases.  With a mask,
     unobserved vertices are simply left out of the data term — inpainting.
+    The bank is prepared once per solve, and each iteration costs two bank
+    applications (one analysis, one synthesis); a restart costs two more.
 
     Args:
         G: The graph.
@@ -299,8 +302,7 @@ def solve_bpdn(G: Graph, bank: FilterBank, y, lam: float = 0.1,
         raise BadParameter("filter bank is identically zero")
     step = 0.95 / b_upper
 
-    def synth(c):
-        return _apply_bank(G, bank, c, method, order, adjoint=True)
+    apply = _bank_operator(G, bank, method, order)
 
     def masked(v):
         return v if m is None else m * v
@@ -309,26 +311,32 @@ def solve_bpdn(G: Graph, bank: FilterBank, y, lam: float = 0.1,
         return 0.5 * float(np.sum(masked(r) ** 2)) \
             + lam * float(np.sum(np.abs(c)))
 
+    def prox_step(c, s):
+        # One proximal-gradient step from c, whose synthesis is s.
+        return _soft(c - step * apply(masked(s - arr)), step * lam)
+
+    # Synthesis is linear, so each iterate's synthesis is carried beside it
+    # (sc for c, sz for z): an iteration costs one analysis and one
+    # synthesis, and a restart the same again.
     n_coef = len(bank) * arr.shape[1]
     c = np.zeros((G.N, n_coef))
-    z = c
+    sc = apply(c, adjoint=True)
+    z, sz = c, sc
     t = 1.0
-    resid = synth(c) - arr
-    f_prev = objective(c, resid)
+    f_prev = objective(c, sc - arr)
     history = [f_prev]
     converged = False
     it = 0
     change = np.inf
     for it in range(1, max_iter + 1):
-        grad = _apply_bank(G, bank, masked(synth(z) - arr), method, order)
-        c_new = _soft(z - step * grad, step * lam)
-        f_new = objective(c_new, synth(c_new) - arr)
+        c_new = prox_step(z, sz)
+        s_new = apply(c_new, adjoint=True)
+        f_new = objective(c_new, s_new - arr)
         if f_new > f_prev:
             # Monotone fallback: plain proximal step from the last accepted c.
-            grad = _apply_bank(G, bank, masked(synth(c) - arr), method,
-                               order)
-            c_new = _soft(c - step * grad, step * lam)
-            f_new = objective(c_new, synth(c_new) - arr)
+            c_new = prox_step(c, sc)
+            s_new = apply(c_new, adjoint=True)
+            f_new = objective(c_new, s_new - arr)
             t = 1.0
             if f_new > f_prev:
                 # Even the plain step cannot improve: stagnation at roundoff.
@@ -336,8 +344,10 @@ def solve_bpdn(G: Graph, bank: FilterBank, y, lam: float = 0.1,
                 break
         change = abs(f_prev - f_new) / (1.0 + abs(f_new))
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = c_new + ((t - 1.0) / t_next) * (c_new - c)
-        c, t, f_prev = c_new, t_next, f_new
+        beta = (t - 1.0) / t_next
+        z = c_new + beta * (c_new - c)
+        sz = s_new + beta * (s_new - sc)
+        c, sc, t, f_prev = c_new, s_new, t_next, f_new
         history.append(f_new)
         if change <= tol:
             converged = True

@@ -37,14 +37,17 @@ POSITIVE_OFFDIAG_CLAMP = 1e-10
 
 
 def _check_kept(n: int, kept) -> np.ndarray:
-    """Sorted unique kept indices, refused when empty or out of range."""
-    kept = np.unique(np.asarray(kept, dtype=int))
+    """Sorted kept indices, refused when empty, out of range or repeated."""
+    given = np.asarray(kept, dtype=int).ravel()
+    kept = np.unique(given)
     if kept.size == 0:
         raise EmptyKeptSet("kept set is empty")
     if kept[0] < 0 or kept[-1] >= n:
         raise IndexOutOfRange(
             f"kept indices must lie in [0, {n}), got range "
             f"[{kept[0]}, {kept[-1]}]")
+    if kept.size != given.size:
+        raise BadParameter("kept indices must not repeat")
     return kept
 
 
@@ -66,6 +69,7 @@ def kron_reduce(L, kept) -> sp.csr_array:
     left by roundoff (at most :data:`POSITIVE_OFFDIAG_CLAMP`) are zeroed.
 
     Raises:
+        BadParameter: ``kept`` repeats an index or covers every vertex.
         SingularInteriorBlock: The eliminated block cannot be factorized,
             e.g. when it contains a whole connected component.
     """
@@ -315,8 +319,6 @@ def interpolate(G: Graph, kept, values, epsilon: float = 0.005) -> np.ndarray:
         raise BadParameter(f"epsilon must be positive, got {epsilon}")
     given = np.asarray(kept, dtype=int).ravel()
     kept = _check_kept(G.N, given)
-    if kept.size != given.size:
-        raise BadParameter("kept indices must not repeat")
     vals = np.asarray(values, dtype=float)
     if vals.ndim not in (1, 2) or vals.shape[0] != kept.size:
         raise ShapeMismatch(

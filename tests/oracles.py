@@ -98,3 +98,55 @@ def dense_green_interpolate(L, kept, vals, eps):
     basis = np.linalg.solve(L + eps * np.eye(L.shape[0]),
                             np.eye(L.shape[0])[:, kept])
     return basis @ np.linalg.solve(basis[kept], vals)
+
+
+def reference_bpdn(analysis, synthesis, y, lam, step, mask=None,
+                   max_iter=500, tol=1e-6):
+    """Accelerated proximal gradient for BPDN that synthesizes every iterate
+    afresh: ``synthesis(z)`` for the gradient and ``synthesis(c_new)`` for
+    the objective, three bank applications per iteration and three more
+    per restart.
+
+    ``analysis`` maps ``(N, k)`` signals to kernel-major coefficients and
+    ``synthesis`` maps those back to ``(N, k)``.  Returns ``(c, history,
+    objective, iterations)`` with ``history`` the accepted objectives.
+    """
+    y = np.asarray(y, dtype=float).reshape(len(y), -1)
+    m = None if mask is None else np.asarray(mask, dtype=float)[:, None]
+
+    def masked(v):
+        return v if m is None else m * v
+
+    def soft(v, thresh):
+        return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
+
+    def objective(c):
+        r = masked(synthesis(c) - y)
+        return 0.5 * float(np.sum(r ** 2)) + lam * float(np.sum(np.abs(c)))
+
+    def prox_step(c):
+        return soft(c - step * analysis(masked(synthesis(c) - y)),
+                    step * lam)
+
+    c = np.zeros_like(analysis(y))
+    z, t = c, 1.0
+    f_prev = objective(c)
+    history = [f_prev]
+    it = 0
+    for it in range(1, max_iter + 1):
+        c_new = prox_step(z)
+        f_new = objective(c_new)
+        if f_new > f_prev:
+            c_new = prox_step(c)
+            f_new = objective(c_new)
+            t = 1.0
+            if f_new > f_prev:
+                break
+        change = abs(f_prev - f_new) / (1.0 + abs(f_new))
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        z = c_new + ((t - 1.0) / t_next) * (c_new - c)
+        c, t, f_prev = c_new, t_next, f_new
+        history.append(f_new)
+        if change <= tol:
+            break
+    return c, history, f_prev, it

@@ -126,6 +126,16 @@ class TestLaplacianFourier:
         _, gpath, _ = sensor_files
         assert run("laplacian", gpath) == 1
 
+    @pytest.mark.parametrize("command", ["laplacian", "fourier"])
+    def test_missing_output_flag_is_reported_before_the_load(
+            self, tmp_path, capsys, command):
+        # The flag check comes first, so a malformed graph is never parsed.
+        bad = tmp_path / "bad.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate real general\n"
+                       "3 3 1\nnot a number\n")
+        assert run(command, bad) == 1
+        assert f"{command} needs --" in capsys.readouterr().err
+
     def test_missing_graph_is_exit_1(self, tmp_path):
         assert run("laplacian", tmp_path / "ghost.mtx",
                    "--out", tmp_path / "L.mtx") == 1

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 import graphsig as gs
 from graphsig import exceptions as exc
+from graphsig import filters, optimize
 
 
 def piecewise_clean(G, seed=0):
@@ -256,6 +257,79 @@ class TestBPDN:
         with pytest.raises(exc.ShapeMismatch):
             gs.solve_bpdn(sensor64, bank, np.zeros(64),
                           mask=np.ones(63, dtype=bool))
+
+
+class TestBPDNWork:
+    """Bank work per solve: the bank is prepared once, and an iteration
+    costs one analysis and one synthesis (a restart two more)."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        calls = {"analysis": 0, "synthesis": 0, "coeffs": 0, "prox": 0}
+        bank_fn, coeffs_fn, soft_fn = (filters._chebyshev_bank,
+                                       filters.chebyshev_coeffs,
+                                       optimize._soft)
+
+        def bank(L, C, lmax, X, adjoint=False):
+            calls["synthesis" if adjoint else "analysis"] += 1
+            return bank_fn(L, C, lmax, X, adjoint)
+
+        def coeffs(*args):
+            calls["coeffs"] += 1
+            return coeffs_fn(*args)
+
+        def soft(v, thresh):
+            # One proximal step per iteration, two in a restarted one.
+            calls["prox"] += 1
+            return soft_fn(v, thresh)
+
+        monkeypatch.setattr(filters, "_chebyshev_bank", bank)
+        monkeypatch.setattr(filters, "chebyshev_coeffs", coeffs)
+        monkeypatch.setattr(optimize, "_soft", soft)
+        return calls
+
+    def solve(self, lam, max_iter):
+        G = gs.sensor(64, seed=0)
+        bank = gs.itersine(gs.estimate_lmax(G), n_filters=4)
+        y = np.random.default_rng(0).standard_normal(64)
+        _, rep = gs.solve_bpdn(G, bank, y, lam=lam, max_iter=max_iter,
+                               tol=0.0, method="chebyshev", order=20)
+        return len(bank), rep
+
+    def test_two_bank_calls_per_iteration(self, counted):
+        n_kernels, rep = self.solve(lam=0.05, max_iter=20)
+        assert rep.iterations == 20 and counted["prox"] == 20  # no restart
+        assert counted["analysis"] == rep.iterations
+        assert counted["synthesis"] == 1 + rep.iterations
+        assert counted["analysis"] + counted["synthesis"] \
+            == 1 + 2 * rep.iterations
+        assert counted["coeffs"] == n_kernels
+
+    def test_a_restart_costs_two_more(self, counted):
+        n_kernels, rep = self.solve(lam=0.0, max_iter=10)
+        restarts = counted["prox"] - rep.iterations
+        assert rep.iterations == 10 and restarts == 1
+        assert counted["analysis"] + counted["synthesis"] \
+            == 1 + 2 * rep.iterations + 2 * restarts
+        assert counted["coeffs"] == n_kernels
+
+    def test_exact_responses_evaluated_once(self, sensor64, rng,
+                                            monkeypatch):
+        bank = gs.itersine(gs.compute_fourier_basis(sensor64).lmax,
+                           n_filters=3)
+        sizes, evaluate = [], bank.evaluate
+
+        def counted_evaluate(x):
+            sizes.append(np.size(x))
+            return evaluate(x)
+
+        monkeypatch.setattr(bank, "evaluate", counted_evaluate)
+        _, rep = gs.solve_bpdn(sensor64, bank, rng.standard_normal(64),
+                               lam=0.05, max_iter=30, tol=0.0)
+        assert rep.iterations == 30
+        # The frame bounds' grid plus the eigenvalues, then the responses
+        # on the eigenvalues once, however many iterations run.
+        assert sizes == [1000 + 64, 64]
 
 
 class TestSolverReport:

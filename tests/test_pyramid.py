@@ -54,6 +54,11 @@ class TestKronReduce:
         with pytest.raises(exc.BadParameter):
             gs.kron_reduce(L, [0, 1, 2, 3])
 
+    def test_repeated_kept_index_refused(self):
+        # Deduplicating would return a 2 x 2 reduction for three indices.
+        with pytest.raises(exc.BadParameter):
+            gs.kron_reduce(gs.path(4).L, [0, 0, 3])
+
     def test_disconnected_elimination_fails(self):
         W = sp.block_diag([gs.path(2).W, gs.path(2).W], format="csr")
         G = gs.graph_from_weights(W, directed=False)
@@ -139,6 +144,12 @@ class TestHierarchy:
             gs.graph_multiresolution(G, 1, **kwargs)
         with pytest.raises(error):
             gs.multiresolution_from_keeps(G, [np.arange(0, G.N, 2)], **kwargs)
+
+    def test_from_keeps_refuses_a_repeated_index(self):
+        G = gs.sensor(48, seed=7)
+        keep = np.arange(0, G.N, 2)
+        with pytest.raises(exc.BadParameter):
+            gs.multiresolution_from_keeps(G, [np.append(keep, keep[-1])])
 
     def test_rebuild_from_keeps(self):
         G1 = gs.sensor(48, seed=7)
