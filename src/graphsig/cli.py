@@ -8,13 +8,14 @@ parameters, output paths and headline numbers; ``graphsig rerun <manifest>``
 replays the stored argument vector, reproducing the outputs bit for bit.
 
 There is one command path.  :func:`main` parses the arguments, refuses a
-command that sets none of the flags it needs one of (before reading any
-file), loads the graph (``args.graph``) and the signal (``args.signal``)
-when the command has them, calls the handler and writes the manifest.  A
-handler ``_cmd_*(args, G, f)`` only computes and writes its own outputs, and
-returns ``(primary, parameters, outputs, results)``: the path the manifest
-is named after, and the manifest's three payload fields.  ``G`` and ``f``
-are None when the command does not take them.
+command that sets none of the flags it needs one of or names an input file
+or directory that does not exist (before reading any file), loads the graph
+(``args.graph``) and the signal (``args.signal``) when the command has
+them, calls the handler and writes the manifest.  A handler
+``_cmd_*(args, G, f)`` only computes and writes its own outputs, and returns
+``(primary, parameters, outputs, results)``: the path the manifest is named
+after, and the manifest's three payload fields.  ``G`` and ``f`` are None
+when the command does not take them.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ import numpy as np
 from . import io as gio
 from .exceptions import BadParameter, GraphSigError
 from .filters import design as design_bank
-from .filters import filter_analysis, filter_synthesis, frame_bounds
+from .filters import filter_analysis, frame_bounds
 from .generators import (comet, community, erdos_renyi, grid2d, path, ring,
                          sbm, sensor, swiss_roll, two_moons)
 from .graphs import LaplacianKind
-from .optimize import prox_tv, snr, solve_bpdn, tik_denoise, wavelet_denoise
+from .optimize import _solve_bpdn, prox_tv, snr, tik_denoise, wavelet_denoise
 from .plotting import PlotStyle, export_graph_dot, export_graph_svg, \
     export_filter_svg
 from .pyramid import graph_multiresolution, pyramid_analysis, pyramid_synthesis
@@ -69,8 +70,7 @@ def _write_manifest(args, argv: List[str], primary_out: str,
 
 def _load_graph(args):
     directed = {"auto": "auto", "true": True, "false": False}[args.directed]
-    return gio.load_graph(_require_file(args.graph), directed=directed,
-                          kind=args.kind)
+    return gio.load_graph(args.graph, directed=directed, kind=args.kind)
 
 
 def _require_one_of(p, *flags) -> None:
@@ -91,6 +91,17 @@ def _require_file(path: str) -> str:
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
     return path
+
+
+def _check_inputs(args) -> None:
+    """Refuse a run whose input files are missing, before any is read."""
+    for name in ("graph", "signal", "mask", "bank"):
+        path = getattr(args, name, None)
+        if path:
+            _require_file(path)
+    pyramid_dir = getattr(args, "pyramid_dir", None)
+    if pyramid_dir and not os.path.isdir(pyramid_dir):
+        raise FileNotFoundError(f"no such directory: {pyramid_dir}")
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +206,7 @@ def _build_bank(args, G):
     else:
         estimate_lmax(G)
     if args.bank:
-        return gio.load_filter_bank(_require_file(args.bank))
+        return gio.load_filter_bank(args.bank)
     return design_bank(args.design, G, **_design_params(args))
 
 
@@ -232,8 +243,6 @@ def _cmd_pyramid_analyze(args, G, f):
 
 
 def _cmd_pyramid_synthesize(args, G, _f):
-    if not os.path.isdir(args.pyramid_dir):
-        raise FileNotFoundError(f"no such directory: {args.pyramid_dir}")
     mr, pyr, signal = gio.load_pyramid(args.pyramid_dir, G)
     rec = pyramid_synthesis(mr, pyr)
     gio.save_signal(args.out, rec)
@@ -268,12 +277,10 @@ def _cmd_denoise(args, G, y):
         bank = _build_bank(args, G)
         mask = None
         if args.mask:
-            mask = gio.load_signal(_require_file(args.mask)) > 0.5
-        coef, report = solve_bpdn(G, bank, y, lam=args.lam, mask=mask,
-                                  max_iter=args.max_iter, tol=args.tol,
-                                  method=args.method, order=args.order)
-        x = filter_synthesis(G, bank, coef, method=args.method,
-                             order=args.order)
+            mask = gio.load_signal(args.mask) > 0.5
+        coef, x, report = _solve_bpdn(G, bank, y, lam=args.lam, mask=mask,
+                                      max_iter=args.max_iter, tol=args.tol,
+                                      method=args.method, order=args.order)
         if args.out_coefficients:
             gio.save_signal(args.out_coefficients, coef)
             outputs.append(args.out_coefficients)
@@ -323,7 +330,7 @@ def _cmd_plot_filters(args, G, _f):
     if G is not None:
         bank = _build_bank(args, G)
     elif args.bank:
-        bank = gio.load_filter_bank(_require_file(args.bank))
+        bank = gio.load_filter_bank(args.bank)
     else:
         if args.design == "warped_translates":
             raise _UsageError("warped_translates needs --graph, not --lmax")
@@ -535,8 +542,9 @@ def main(argv=None) -> int:
         if args.command == "rerun":
             return _cmd_rerun(args)
         _check_one_of(args)
+        _check_inputs(args)
         G = _load_graph(args) if getattr(args, "graph", None) else None
-        f = gio.load_signal(_require_file(args.signal)) \
+        f = gio.load_signal(args.signal) \
             if getattr(args, "signal", None) else None
         _write_manifest(args, argv, *args.func(args, G, f))
         return 0

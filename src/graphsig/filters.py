@@ -12,8 +12,14 @@ path that scales.  Both go through one bank operator, which builds the kernel
 responses or the Chebyshev coefficients once and can then be applied any
 number of times.  A Chebyshev application costs ``order`` sparse products for
 the whole bank: analysis shares one forward recurrence across the kernels and
-synthesis runs one Clenshaw recurrence.  An exact application costs two dense
-products with the eigenvector matrix.
+synthesis runs one Clenshaw recurrence.  An exact application costs one
+product with the whole eigenvector matrix ``U`` plus products with each
+kernel's band of columns of ``U``, the eigenvalues from its first to its last
+nonzero response.  The translate designs (``itersine``, ``warped_translates``)
+have bands of about ``2 N`` columns in total, against ``len(bank) N`` for
+kernels of full support (``heat``, ``mexican_hat``, ``gabor``), which take one
+product for the whole bank.  That is for one signal column; on several
+columns all kernels share one product with the whole of ``U``.
 """
 
 from __future__ import annotations
@@ -463,6 +469,21 @@ def chebyshev_apply(G: Graph, coeffs: ChebyshevCoeffs, f) -> np.ndarray:
 # Bank application
 # ---------------------------------------------------------------------------
 
+def _bands(resp: np.ndarray):
+    """Where each kernel of a bank is nonzero, as column ranges of ``U``.
+
+    A kernel's band is the range ``[a, b)`` of eigenvalue indices from its
+    first to its last nonzero response in ``resp`` (one row per kernel); a
+    kernel that is zero at every eigenvalue has none.  Returns one
+    ``(a, b, J)`` per distinct band, with the kernels ``J`` that share it.
+    """
+    bands = {}
+    for j, nz in enumerate(map(np.flatnonzero, resp)):
+        if nz.size:
+            bands.setdefault((int(nz[0]), int(nz[-1]) + 1), []).append(j)
+    return [(a, b, J) for (a, b), J in bands.items()]
+
+
 def _bank_operator(G: Graph, bank: FilterBank, method: str, order: int):
     """Prepare a bank on a graph once: the one routine behind all filtering.
 
@@ -472,19 +493,44 @@ def _bank_operator(G: Graph, bank: FilterBank, method: str, order: int):
     returned ``apply(X, adjoint=False)`` maps ``(N, k)`` signals to
     ``(N, len(bank) * k)`` kernel-major coefficients; ``adjoint=True`` is
     synthesis, mapping those back to ``(N, k)``.  An exact application
-    costs two dense products with the eigenvector matrix, a Chebyshev one
-    ``order`` sparse products for the whole bank.
+    costs one product with the whole eigenvector matrix ``U`` plus products
+    with each kernel's band of columns of ``U`` (see :func:`_bands`), so
+    about ``2 N`` columns for a translate design against ``len(bank) N``
+    for full-support kernels, which share one product.  That holds for one
+    signal column; with several, all kernels share one product with the
+    whole of ``U``.  A Chebyshev application costs ``order`` sparse products
+    for the whole bank.
     """
     if method == "exact":
         S = get_spectral(G, "exact filtering")
         resp = bank.evaluate(S.e)
+        bands = _bands(resp)
+        whole = [(0, G.N, sorted(j for _, _, J in bands for j in J))]
 
         def apply(X, adjoint=False):
-            spec = S.U.T @ X
+            k = X.shape[1] // len(bank) if adjoint else X.shape[1]
+            # With one column per kernel the band products are matrix-vector
+            # products, whose cost is the columns of U they read, so each
+            # band reads only its own.  A matrix product costs about one pass
+            # over U whatever its width, so with more columns one product
+            # with all of U serves every kernel.  The U[:, a:b] slices are
+            # views: a copy would cost up to two N x N blocks per application.
+            parts = bands if k == 1 else whole
             if adjoint:
-                return S.U @ np.einsum("jn,njk->nk", resp,
-                                       spec.reshape(G.N, len(bank), -1))
-            return S.U @ np.einsum("jn,nk->njk", resp, spec).reshape(G.N, -1)
+                blocks = X.reshape(G.N, len(bank), k)
+                spec = np.zeros((G.N, k))
+                for a, b, J in parts:
+                    part = S.U[:, a:b].T @ blocks[:, J].reshape(G.N, -1)
+                    spec[a:b] += np.einsum("jn,njk->nk", resp[J, a:b],
+                                           part.reshape(b - a, len(J), k))
+                return S.U @ spec
+            spec = S.U.T @ X
+            out = np.zeros((G.N, len(bank), k))
+            for a, b, J in parts:
+                part = np.einsum("jn,nk->njk", resp[J, a:b], spec[a:b])
+                out[:, J] += (S.U[:, a:b] @ part.reshape(b - a, -1)).reshape(
+                    G.N, len(J), k)
+            return out.reshape(G.N, -1)
         return apply
     if method == "chebyshev":
         lmax = get_lmax(G, "chebyshev filtering")
@@ -538,7 +584,12 @@ def filter_synthesis(G: Graph, bank: FilterBank, coefficients,
         raise ShapeMismatch(
             f"coefficients must be (N={G.N}, {len(bank)}*k), got shape "
             f"{np.asarray(coefficients).shape}")
-    out = _bank_operator(G, bank, method, order)(arr, adjoint=True)
+    return _squeezed(_bank_operator(G, bank, method, order)(arr, adjoint=True))
+
+
+def _squeezed(out: np.ndarray) -> np.ndarray:
+    """An ``(N, k)`` synthesis in :func:`filter_synthesis`'s output shape:
+    1-D when ``k == 1``."""
     return out[:, 0] if out.shape[1] == 1 else out
 
 

@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spl
 
 from .exceptions import BadParameter, NotTightFrame, ShapeMismatch, SolverFailure
 # filter_analysis and filter_synthesis stay importable from this module.
-from .filters import (FilterBank, _bank_operator,  # noqa: F401
+from .filters import (FilterBank, _bank_operator, _squeezed,  # noqa: F401
                       filter_analysis, filter_synthesis, frame_bounds)
 from .graphs import Graph, _as_signal
 from .operators import incidence
@@ -285,6 +285,16 @@ def solve_bpdn(G: Graph, bank: FilterBank, y, lam: float = 0.1,
         ``(c, SolverReport)`` where ``c`` is ``(N, len(bank) * k)``
         kernel-major; reconstruct with :func:`graphsig.filters.filter_synthesis`.
     """
+    c, _, report = _solve_bpdn(G, bank, y, lam, mask, max_iter, tol, method,
+                               order)
+    return c, report
+
+
+def _solve_bpdn(G: Graph, bank: FilterBank, y, lam: float, mask,
+                max_iter: int, tol: float, method: str, order: int):
+    """:func:`solve_bpdn`, returning ``(c, synthesis(c), report)``; the
+    synthesis is the one the solver already holds, shaped as
+    :func:`graphsig.filters.filter_synthesis` returns it."""
     if lam < 0:
         raise BadParameter(f"lam must be >= 0, got {lam}")
     arr = _as_signal(G, y).reshape(G.N, -1)
@@ -357,4 +367,4 @@ def solve_bpdn(G: Graph, bank: FilterBank, y, lam: float = 0.1,
     report = SolverReport(iterations=it, objective=f_prev,
                           residual=float(change) if np.isfinite(change) else 0.0,
                           converged=converged, objective_history=history)
-    return c, report
+    return c, _squeezed(sc), report

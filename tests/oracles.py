@@ -90,6 +90,13 @@ def dense_polynomial(L, a):
     return out
 
 
+def dense_bank(U, responses):
+    """The filters ``U diag(g_j) U^T`` of a bank, one per kernel, from the
+    kernel responses ``g_j`` on the eigenvalues (rows of ``responses``)."""
+    U = np.asarray(U, dtype=float)
+    return [(U * g) @ U.T for g in np.asarray(responses, dtype=float)]
+
+
 def dense_green_interpolate(L, kept, vals, eps):
     """Regularized Green's-function fit: the combination of the columns of
     ``inv(L + eps I)[:, kept]`` that matches ``vals`` on ``kept``."""

@@ -3,7 +3,9 @@
 Random undirected sensor graphs, bank sizes, signal counts and Chebyshev
 orders; the exact and Chebyshev paths must each behave as one linear
 operator and its adjoint, and BPDN built on it must agree with a solver
-that synthesizes every iterate afresh.
+that synthesizes every iterate afresh.  The exact path multiplies only each
+kernel's band of eigenvectors, so it is also checked on kernels with random
+supports against dense filter matrices.
 """
 
 import numpy as np
@@ -14,7 +16,7 @@ from numpy.testing import assert_allclose
 import graphsig as gs
 from graphsig import optimize
 
-from oracles import dense_polynomial, reference_bpdn
+from oracles import dense_bank, dense_polynomial, reference_bpdn
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None,
                              derandomize=True)
@@ -169,3 +171,65 @@ def test_bpdn_matches_the_three_call_reference(case, method, use_mask, k,
     assert all(b <= a for a, b in zip(h, h[1:]))
     if k == 1:
         assert_allclose(h, history, rtol=0, atol=1e-12 * scale)
+
+
+def _window(lo, hi, rng, hole=None):
+    """A kernel that is nonzero exactly on ``[lo, hi]`` outside ``hole``."""
+    amp, freq, phase = rng.uniform(0.5, 2.0), rng.uniform(0.1, 5.0), \
+        rng.uniform(0.0, 6.3)
+
+    def fn(x):
+        inside = (x >= lo) & (x <= hi)
+        if hole is not None:
+            inside &= (x < hole[0]) | (x > hole[1])
+        return np.where(inside, amp * (1.5 + np.cos(freq * x + phase)), 0.0)
+    return gs.Kernel(fn)
+
+
+@st.composite
+def band_cases(draw):
+    """A graph with its basis, and a shuffled bank of kernels with random
+    supports: random windows (some of full support), one zero at every
+    eigenvalue, one with zeros inside its band and one nonzero at a single
+    eigenvalue.  Returns the index of the zero kernel too."""
+    n = draw(st.integers(8, 48))
+    G = gs.sensor(n, seed=draw(st.integers(0, 10_000)))
+    e = gs.compute_fourier_basis(G).e
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    kernels = []
+    for _ in range(draw(st.integers(1, 5))):
+        a, b = (0, n - 1) if draw(st.booleans()) else sorted(
+            draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+        kernels.append(_window(e[a], e[b], rng))
+    a = draw(st.integers(0, n - 3))
+    b = draw(st.integers(a + 2, n - 1))
+    mid = draw(st.integers(a + 1, b - 1))
+    kernels.append(_window(e[a], e[b], rng, hole=(e[mid], e[mid])))
+    single = draw(st.integers(0, n - 1))
+    kernels.append(_window(e[single], e[single], rng))
+    kernels.append(gs.Kernel(np.zeros_like))
+    order = draw(st.permutations(range(len(kernels))))
+    bank = gs.FilterBank([kernels[i] for i in order], float(e[-1]) or 1.0)
+    return G, bank, order.index(len(kernels) - 1), rng
+
+
+@PROPERTY_SETTINGS
+@given(band_cases(), st.sampled_from([1, 3]))
+def test_exact_bands_match_dense_filters(case, k):
+    G, bank, zero, rng = case
+    S = gs.compute_fourier_basis(G)
+    filters = dense_bank(S.U, bank.evaluate(S.e))
+    F = rng.standard_normal((G.N, k))
+    C = rng.standard_normal((G.N, len(bank) * k))
+    AF = gs.filter_analysis(G, bank, F, method="exact")
+    AtC = gs.filter_synthesis(G, bank, C, method="exact").reshape(F.shape)
+    want_a = np.hstack([T @ F for T in filters])
+    want_s = sum(T @ C[:, j * k:(j + 1) * k] for j, T in enumerate(filters))
+    assert_allclose(AF, want_a, rtol=0, atol=1e-12 * np.abs(want_a).max())
+    assert_allclose(AtC, want_s, rtol=0, atol=1e-12 * np.abs(want_s).max())
+    assert np.all(AF[:, zero * k:(zero + 1) * k] == 0.0)
+    lhs, rhs = np.sum(AF * C), np.sum(F * AtC)
+    scale = np.linalg.norm(AF) * np.linalg.norm(C) \
+        + np.linalg.norm(F) * np.linalg.norm(AtC)
+    assert abs(lhs - rhs) <= 1e-12 * scale

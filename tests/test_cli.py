@@ -266,6 +266,28 @@ class TestDenoise:
         assert gio.load_signal(out).shape == (40,)
 
 
+    @pytest.mark.parametrize("method", ["exact", "chebyshev"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_bpdn_output_is_the_synthesis_of_its_coefficients(
+            self, sensor_files, method, k):
+        tmp, gpath, spath = sensor_files
+        y = np.tile(gio.load_signal(spath)[:, None], (1, k)).squeeze()
+        gio.save_signal(tmp / "yk.csv", y)
+        out, cpath = tmp / "b.csv", tmp / "coef.csv"
+        assert run("denoise", gpath, "--signal", tmp / "yk.csv",
+                   "--out", out, "--solver", "bpdn", "--filters", 4,
+                   "--lam", 0.01, "--method", method, "--max-iter", 30,
+                   "--out-coefficients", cpath) == 0
+        G = gio.load_graph(gpath)
+        if method == "exact":
+            gs.compute_fourier_basis(G)
+        else:
+            gs.estimate_lmax(G)
+        want = gs.filter_synthesis(G, gs.itersine(G, 4),
+                                   gio.load_signal(cpath), method=method)
+        assert np.array_equal(gio.load_signal(out), want)
+
+
 class TestPlot:
     def test_graph_svg_with_signal(self, sensor_files):
         tmp, gpath, spath = sensor_files
@@ -418,6 +440,36 @@ class TestEveryCommand:
         assert run(*build(ghost, spath, tmp)) == 1
         if "--signal" in build(gpath, spath, tmp):
             assert run(*build(gpath, ghost, tmp)) == 1
+
+
+#: Commands naming a missing input besides the graph, from the malformed
+#: graph ``g`` and the working directory ``d``.
+MISSING_INPUT = {
+    "signal": lambda g, d: [
+        "denoise", g, "--signal", d / "missing.csv", "--solver", "tv",
+        "--out", d / "x.csv"],
+    "pyramid directory": lambda g, d: [
+        "pyramid", "synthesize", g, d / "missing_dir", "--out", d / "r.csv"],
+    "mask": lambda g, d: [
+        "denoise", g, "--signal", d / "y.csv", "--solver", "bpdn",
+        "--mask", d / "missing.csv", "--out", d / "b.csv"],
+    "bank": lambda g, d: [
+        "filter", g, "--signal", d / "y.csv", "--bank", d / "missing.json",
+        "--out", d / "c.csv"],
+}
+
+
+@pytest.mark.parametrize("name", list(MISSING_INPUT))
+def test_missing_input_is_reported_before_the_graph_is_read(tmp_path, capsys,
+                                                            name):
+    # Every input path is checked first, so the malformed graph is never
+    # parsed and the run is a usage error (1), not a parse error (2).
+    bad = tmp_path / "bad.mtx"
+    bad.write_text("%%MatrixMarket matrix coordinate real general\n"
+                   "3 3 1\nnot a number\n")
+    gio.save_signal(tmp_path / "y.csv", np.zeros(3))
+    assert run(*MISSING_INPUT[name](bad, tmp_path)) == 1
+    assert "missing" in capsys.readouterr().err
 
 
 class TestTopLevel:
