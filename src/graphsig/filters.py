@@ -458,8 +458,21 @@ def chebyshev_apply(G: Graph, coeffs: ChebyshevCoeffs, f) -> np.ndarray:
     Only sparse matrix-vector products with the active Laplacian are used;
     cost is ``order`` products per signal.  Accepts a vector or a matrix of
     column signals.
+
+    Raises:
+        BadParameter: ``coeffs.lmax`` lies below the spectrum, where the
+            recurrence grows without bound: below the exact top eigenvalue
+            when the Fourier basis is cached, otherwise below the largest
+            diagonal entry of the Laplacian (a lower bound on the top
+            eigenvalue of a symmetric one).
     """
     arr = _as_signal(G, f)
+    floor = (G._spectral.lmax if G._spectral is not None
+             else float(G.L.diagonal().max()))
+    if coeffs.lmax < floor:
+        raise BadParameter(
+            f"Chebyshev interval [0, {coeffs.lmax}] ends below the "
+            f"spectrum, which reaches at least {floor}")
     out = _chebyshev_bank(G.L, coeffs.c[None, :], coeffs.lmax,
                           arr.reshape(G.N, -1))
     return out[:, 0] if arr.ndim == 1 else out

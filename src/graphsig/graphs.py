@@ -235,16 +235,17 @@ def graph_from_weights(weights, directed="auto", name: str = "",
     return G
 
 
-def _as_signal(G: Graph, f, label: str = "signal") -> np.ndarray:
+def _as_signal(G, f, label: str = "signal") -> np.ndarray:
     """A signal ``(N,)`` or block ``(N, k)`` as a float array, shape kept.
 
-    Raises ``ShapeMismatch`` for any other shape and ``NonFiniteValue`` for
-    NaN or infinite entries.
+    ``G`` is the graph or its vertex count ``N``.  Raises ``ShapeMismatch``
+    for any other shape and ``NonFiniteValue`` for NaN or infinite entries.
     """
+    n = G.N if isinstance(G, Graph) else int(G)
     arr = np.asarray(f, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[0] != G.N:
+    if arr.ndim not in (1, 2) or arr.shape[0] != n:
         raise ShapeMismatch(
-            f"{label} must have {G.N} rows, got shape {arr.shape}")
+            f"{label} must have {n} rows, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NonFiniteValue(f"{label} contains NaN or infinite entries")
     return arr

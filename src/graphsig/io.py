@@ -235,7 +235,8 @@ def load_pyramid(directory, G: Graph) -> Tuple[Multiresolution, Pyramid,
     """
     manifest = _load_json(os.path.join(directory, PYRAMID_MANIFEST))
     try:
-        keeps = [np.asarray(k, dtype=int) for k in manifest["keeps"]]
+        # No cast: the pyramid refuses kept indices that are not integers.
+        keeps = [np.asarray(k) for k in manifest["keeps"]]
         alpha = float(manifest["alpha"])
         epsilon = float(manifest["epsilon"])
         sizes = [int(s) for s in manifest["level_sizes"]]

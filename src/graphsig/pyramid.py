@@ -5,12 +5,22 @@ nonnegative, eliminates the rest by a Schur complement of the combinatorial
 Laplacian (which is again a Laplacian), and repeats.  Signals ride along via
 a smoothing filter before downsampling plus stored prediction errors, so the
 transform is perfectly invertible.
+
+A Schur complement of a Schur complement is the Schur complement onto the
+nested set, so level ``l`` is ``S_l = L / (V \\ K_l)`` of the finest
+Laplacian ``L``, with ``K_l`` the level's vertices as indices into the
+finest graph.  The analysis and synthesis operators use that: each level
+costs two sparse LUs of at most ``N`` rows of the finest ``L`` (smoothing and
+extension), built on first use, and no level graph.  Level graphs are
+Kron-reduced only where vertex selection reads them or a caller indexes
+:attr:`Multiresolution.graphs`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 import scipy.sparse as sp
@@ -37,11 +47,17 @@ POSITIVE_OFFDIAG_CLAMP = 1e-10
 
 
 def _check_kept(n: int, kept) -> np.ndarray:
-    """Sorted kept indices, refused when empty, out of range or repeated."""
-    given = np.asarray(kept, dtype=int).ravel()
-    kept = np.unique(given)
-    if kept.size == 0:
+    """Sorted kept indices, refused when empty, not integers, out of range
+    or repeated."""
+    given = np.asarray(kept)
+    if given.size == 0:
         raise EmptyKeptSet("kept set is empty")
+    # Casting would silently truncate floats and read a mask as indices.
+    if given.dtype.kind not in "iu":
+        raise BadParameter(
+            f"kept indices must be integers, got dtype {given.dtype}")
+    given = given.astype(int, copy=False).ravel()
+    kept = np.unique(given)
     if kept[0] < 0 or kept[-1] >= n:
         raise IndexOutOfRange(
             f"kept indices must lie in [0, {n}), got range "
@@ -69,7 +85,8 @@ def kron_reduce(L, kept) -> sp.csr_array:
     left by roundoff (at most :data:`POSITIVE_OFFDIAG_CLAMP`) are zeroed.
 
     Raises:
-        BadParameter: ``kept`` repeats an index or covers every vertex.
+        BadParameter: ``kept`` is not integer, repeats an index or covers
+            every vertex.
         SingularInteriorBlock: The eliminated block cannot be factorized,
             e.g. when it contains a whole connected component.
     """
@@ -106,12 +123,59 @@ def kron_reduce(L, kept) -> sp.csr_array:
     return out
 
 
+def _level_graph(graphs: List[Graph], keeps, level: int) -> Graph:
+    """Level ``level`` of a pyramid, materializing the levels below it.
+
+    ``graphs`` holds the levels built so far, finest first; each missing
+    one is Kron-reduced from the one before it onto that level's kept set
+    and appended.
+    """
+    while len(graphs) <= level:
+        prev, kept = graphs[-1], keeps[len(graphs) - 1]
+        coords = prev.coords[kept] if prev.coords is not None else None
+        graphs.append(graph_from_weights(
+            _laplacian_to_weights(kron_reduce(prev.L, kept)), directed=False,
+            kind=LaplacianKind.COMBINATORIAL, coords=coords,
+            name=f"{graphs[0].name or 'graph'}/level{len(graphs)}"))
+    return graphs[level]
+
+
+class _LevelGraphs(Sequence):
+    """The graphs of a pyramid, finest first, each Kron-reduced on first
+    access (see :func:`_level_graph`)."""
+
+    def __init__(self, graphs, keeps):
+        self._graphs = list(graphs)
+        self._keeps = keeps
+
+    def __len__(self):
+        return len(self._keeps) + 1
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        return _level_graph(self._graphs, self._keeps,
+                            range(len(self))[index])
+
+    def __eq__(self, other):
+        return list(self) == other
+
+    def __repr__(self):
+        return f"<{len(self)} level graphs, {len(self._graphs)} built>"
+
+
 @dataclass
 class Multiresolution:
     """A chain of graphs produced by repeated Kron reduction.
 
+    The analysis and synthesis operators need only the finest graph and the
+    kept sets: each level costs two sparse LUs of at most ``N`` rows of the
+    finest Laplacian, built on first use, and no level graph.
+
     Attributes:
-        graphs: ``n_levels + 1`` graphs, finest first.
+        graphs: ``n_levels + 1`` graphs, finest first.  Only the given ones
+            (the finest, plus the levels vertex selection read) are held;
+            indexing or iterating materializes the rest by Kron reduction.
         keeps: For each reduction step, the sorted indices (into that level)
             of the vertices that survive into the next level.
         alpha: Smoothing strength of the analysis filter ``1 / (1 + alpha x)``.
@@ -121,22 +185,27 @@ class Multiresolution:
             used instead.
     """
 
-    graphs: List[Graph]
+    graphs: Sequence[Graph]
     keeps: List[np.ndarray]
     alpha: float = 1.0
     epsilon: float = 0.005
     fallback_levels: List[int] = field(default_factory=list)
 
     def __post_init__(self):
+        self.graphs = _LevelGraphs(self.graphs, self.keeps)
         # Per level: the solvers built so far, see _level_solver.
         self._solvers = [{} for _ in self.keeps]
+        # Per level: its vertices as sorted indices into the finest graph.
+        self._vertices = [np.arange(self.graphs[0].N)]
+        for kept in self.keeps:
+            self._vertices.append(self._vertices[-1][kept])
 
     @property
     def n_levels(self) -> int:
         return len(self.keeps)
 
     def level_sizes(self) -> List[int]:
-        return [g.N for g in self.graphs]
+        return [v.size for v in self._vertices]
 
 
 #: Below this size the top eigenvector comes from a dense solve; above it a
@@ -180,10 +249,12 @@ def _select_kept(L: sp.csr_array) -> tuple[np.ndarray, bool]:
 
 def _reduce_levels(G: Graph, n_levels: int, choose, alpha: float,
                    epsilon: float) -> Multiresolution:
-    """The one level loop: validate once, then Kron-reduce level by level.
+    """The one level loop: validate once, then choose the kept sets.
 
-    ``choose(level, current)`` returns the kept indices for that level and
-    whether they came from the deterministic fallback.
+    ``choose(level, graphs, keeps)`` returns the kept indices for that level
+    and whether they came from the deterministic fallback; it may read the
+    level's graph with ``_level_graph(graphs, keeps, level)``.  Nothing here
+    Kron-reduces: the hierarchy holds the graphs ``choose`` built.
     """
     if G.directed or G.lap_kind is not LaplacianKind.COMBINATORIAL:
         raise KindMismatch(
@@ -201,21 +272,17 @@ def _reduce_levels(G: Graph, n_levels: int, choose, alpha: float,
     graphs = [G]
     keeps: List[np.ndarray] = []
     fallback: List[int] = []
-    current = G
+    size = G.N
     for level in range(int(n_levels)):
-        kept, used_fallback = choose(level, current)
-        kept = _check_kept(current.N, kept)
+        kept, used_fallback = choose(level, graphs, keeps)
+        kept = _check_kept(size, kept)
+        if kept.size == size:
+            raise BadParameter(f"kept set of level {level} must leave at "
+                               "least one vertex out")
         if used_fallback:
             fallback.append(level)
-        R = kron_reduce(current.L, kept)
-        coords = current.coords[kept] if current.coords is not None else None
-        nxt = graph_from_weights(
-            _laplacian_to_weights(R), directed=False,
-            kind=LaplacianKind.COMBINATORIAL, coords=coords,
-            name=f"{G.name or 'graph'}/level{level + 1}")
-        graphs.append(nxt)
         keeps.append(kept)
-        current = nxt
+        size = kept.size
     return Multiresolution(graphs=graphs, keeps=keeps, alpha=float(alpha),
                            epsilon=float(epsilon), fallback_levels=fallback)
 
@@ -223,6 +290,10 @@ def _reduce_levels(G: Graph, n_levels: int, choose, alpha: float,
 def graph_multiresolution(G: Graph, n_levels: int, alpha: float = 1.0,
                           epsilon: float = 0.005) -> Multiresolution:
     """Build a Kron-reduction pyramid of ``n_levels + 1`` graphs.
+
+    Selection reads the graphs of levels ``0 .. n_levels - 1``, so this
+    makes ``n_levels - 1`` Kron reductions; the coarsest graph is reduced
+    when first accessed.
 
     Args:
         G: Connected undirected graph carrying its combinatorial Laplacian.
@@ -236,7 +307,8 @@ def graph_multiresolution(G: Graph, n_levels: int, alpha: float = 1.0,
             go singular).
         BadParameter: A level would shrink below two vertices.
     """
-    def choose(level, current):
+    def choose(level, graphs, keeps):
+        current = _level_graph(graphs, keeps, level)
         if current.N < 2:
             raise BadParameter(
                 f"cannot reduce below 2 vertices (level {level} has "
@@ -258,10 +330,11 @@ def _laplacian_to_weights(L: sp.csr_array) -> sp.csr_array:
 def multiresolution_from_keeps(G: Graph, keeps, alpha: float = 1.0,
                                epsilon: float = 0.005) -> Multiresolution:
     """Rebuild a pyramid from stored kept-index chains (deserialization),
-    with the same checks as :func:`graph_multiresolution`."""
+    with the same checks as :func:`graph_multiresolution`.  No level graph
+    is Kron-reduced until one is accessed."""
     keeps = list(keeps)
     return _reduce_levels(G, len(keeps),
-                          lambda level, _: (keeps[level], False),
+                          lambda level, *_: (keeps[level], False),
                           alpha, epsilon)
 
 
@@ -269,21 +342,40 @@ def multiresolution_from_keeps(G: Graph, keeps, alpha: float = 1.0,
 # Interpolation and the signal pyramid
 # ---------------------------------------------------------------------------
 
-def _extension(L: sp.csr_array, kept: np.ndarray, eps: float):
-    """``(rest, L[rest, kept], LU of L[rest, rest] + eps I)`` for sorted
-    ``kept``: what :func:`_extend` needs."""
-    rest = np.setdiff1d(np.arange(L.shape[0]), kept)
-    A_rr = L[np.ix_(rest, rest)] + eps * sp.eye_array(rest.size)
-    lu = _splu(A_rr, SolverFailure, "interpolation factorization failed")
-    return rest, L[np.ix_(rest, kept)], lu
+def _extension(L: sp.csr_array, outer: np.ndarray, inner: np.ndarray,
+               eps: float):
+    """What :func:`_extend` needs to extend values on ``inner`` over
+    ``outer``, both sorted indices into ``L`` with ``inner`` inside
+    ``outer``.
+
+    The extension on the Schur complement ``S = L / (V \\ outer)`` is the
+    solve of ``L[U, U] + eps diag(1_outer)`` over ``U = V \\ inner`` with the
+    right-hand side ``-L[U, inner] @ vals``, read on ``outer``: eliminating
+    ``V \\ outer`` from it leaves ``(S_RR + eps I) x_R = -S_RK vals``.  With
+    ``outer`` every vertex this is the plain harmonic extension.  Returns
+    ``(rest, on_outer, L[U, inner], LU)`` with ``rest`` the positions in
+    ``outer`` that are not in ``inner``.
+    """
+    n = L.shape[0]
+    free = np.ones(n, dtype=bool)
+    free[inner] = False
+    U = np.flatnonzero(free)
+    level = np.zeros(n, dtype=bool)
+    level[outer] = True
+    on_outer = level[U]
+    A_uu = L[np.ix_(U, U)] + eps * sp.diags_array(on_outer.astype(float))
+    lu = _splu(A_uu, SolverFailure, "interpolation factorization failed")
+    rest = np.searchsorted(outer, U[on_outer])
+    return rest, on_outer, L[np.ix_(U, inner)], lu
 
 
 def _extend(ext, kept: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """``vals`` on ``kept``, ``-inv(L_rr + eps I) @ L_rk @ vals`` elsewhere."""
-    rest, L_rk, lu = ext
+    """``vals`` on ``kept``, their harmonic extension (see
+    :func:`_extension`) elsewhere."""
+    rest, on_outer, L_uk, lu = ext
     out = np.empty((rest.size + kept.size,) + vals.shape[1:])
     out[kept] = vals
-    out[rest] = -lu.solve(L_rk @ vals)
+    out[rest] = -lu.solve(L_uk @ vals)[on_outer]
     if not np.all(np.isfinite(out)):
         raise SolverFailure("interpolation produced non-finite values")
     return out
@@ -303,33 +395,33 @@ def interpolate(G: Graph, kept, values, epsilon: float = 0.005) -> np.ndarray:
 
     Args:
         G: The graph (any symmetric Laplacian; combinatorial in the pyramid).
-        kept: Distinct indices the values live on, in any order;
+        kept: Distinct integer indices the values live on, in any order;
             ``values[i]`` is the value at vertex ``kept[i]``.
         values: One value per kept index, or a matrix with one column per
             signal.
         epsilon: Positive regularization.
 
     Raises:
-        BadParameter: ``kept`` repeats an index.
+        BadParameter: ``kept`` is not integer or repeats an index.
         ShapeMismatch: ``values`` does not match ``kept``.
         NonFiniteValue: ``values`` holds NaN or infinite entries.
         SolverFailure: The extension system is singular.
     """
     if epsilon <= 0:
         raise BadParameter(f"epsilon must be positive, got {epsilon}")
-    given = np.asarray(kept, dtype=int).ravel()
-    kept = _check_kept(G.N, given)
+    sorted_kept = _check_kept(G.N, kept)
     vals = np.asarray(values, dtype=float)
-    if vals.ndim not in (1, 2) or vals.shape[0] != kept.size:
+    if vals.ndim not in (1, 2) or vals.shape[0] != sorted_kept.size:
         raise ShapeMismatch(
-            f"expected {kept.size} values, got shape {vals.shape}")
+            f"expected {sorted_kept.size} values, got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise NonFiniteValue("values contain NaN or infinite entries")
     # Pair each value with its own index: reorder to the sorted kept set.
-    vals = vals[np.argsort(given, kind="stable")]
-    if kept.size == G.N:
+    vals = vals[np.argsort(np.ravel(kept), kind="stable")]
+    if sorted_kept.size == G.N:
         return vals
-    return _extend(_extension(G.L, kept, float(epsilon)), kept, vals)
+    return _extend(_extension(G.L, np.arange(G.N), sorted_kept,
+                              float(epsilon)), sorted_kept, vals)
 
 
 @dataclass
@@ -349,51 +441,70 @@ class Pyramid:
 
 
 def _level_solver(mr: Multiresolution, level: int, kind: str):
-    """One level's smoothing LU of ``I + alpha L`` (``kind="smooth"``, used
-    by analysis only) or its :func:`_extension` (``kind="extend"``), built
-    on first use."""
+    """One level's solver on the finest Laplacian ``L``, built on first use:
+    the smoothing LU of ``alpha L + diag(1_K)`` for the level's vertices
+    ``K`` (``kind="smooth"``, used by analysis only) or the
+    :func:`_extension` onto the next level (``kind="extend"``)."""
     cache = mr._solvers[level]
     if kind not in cache:
-        L = mr.graphs[level].L
+        L, vertices = mr.graphs[0].L, mr._vertices
         if kind == "smooth":
-            cache[kind] = _splu(sp.csc_array(L) * mr.alpha +
-                                sp.eye_array(L.shape[0], format="csc"),
+            on_level = np.zeros(L.shape[0])
+            on_level[vertices[level]] = 1.0
+            # The rows off the level are divided by alpha, which leaves the
+            # solution as it is and keeps a tiny alpha from underflowing
+            # the eliminated block.
+            rows = sp.diags_array(np.where(on_level == 1.0, mr.alpha, 1.0))
+            cache[kind] = _splu(rows @ sp.csc_array(L) +
+                                sp.diags_array(on_level, format="csc"),
                                 SolverFailure, "smoothing solve failed")
         else:
-            cache[kind] = _extension(L, mr.keeps[level], mr.epsilon)
+            cache[kind] = _extension(L, vertices[level], vertices[level + 1],
+                                     mr.epsilon)
     return cache[kind]
 
 
-def _level_signal(G: Graph, x, label: str, size_error) -> np.ndarray:
-    """A finite 1-D signal on a level graph; wrong lengths raise size_error."""
+def _smooth(mr: Multiresolution, level: int, x: np.ndarray) -> np.ndarray:
+    """``inv(I + alpha S) @ x`` for the level's Laplacian ``S``: one solve
+    with ``alpha L + diag(1_K)`` and ``x`` placed on ``K``, read on ``K``.
+    Eliminating the rest of the finest graph leaves ``(I + alpha S)``."""
+    if mr.alpha == 0:
+        return x
+    vertices = mr._vertices[level]
+    rhs = np.zeros(mr.graphs[0].N)
+    rhs[vertices] = x
+    return _level_solver(mr, level, "smooth").solve(rhs)[vertices]
+
+
+def _level_signal(n: int, x, label: str, size_error) -> np.ndarray:
+    """A finite 1-D signal of ``n`` entries; wrong lengths raise size_error."""
     arr = np.asarray(x, dtype=float)
-    if arr.shape[:1] != (G.N,):
+    if arr.shape[:1] != (n,):
         raise size_error(
-            f"{label} must have {G.N} entries, got shape {arr.shape}")
+            f"{label} must have {n} entries, got shape {arr.shape}")
     if arr.ndim != 1:
         raise ShapeMismatch(f"{label} must be 1-D, got shape {arr.shape}")
-    return _as_signal(G, arr, label)
+    return _as_signal(n, arr, label)
 
 
 def pyramid_analysis(mr: Multiresolution, f) -> Pyramid:
     """Decompose a signal into a coarse part plus per-level errors.
 
-    On each level the signal is smoothed by ``(I + alpha L)^{-1}``, sampled
-    on the kept set, and the interpolation residual against that sample is
-    stored.  Keeping full-length residuals makes the transform exactly
-    invertible by :func:`pyramid_synthesis`.
+    On each level the signal is smoothed by ``(I + alpha S)^{-1}`` for the
+    level's Laplacian ``S``, sampled on the kept set, and the interpolation
+    residual against that sample is stored.  Keeping full-length residuals
+    makes the transform exactly invertible by :func:`pyramid_synthesis`.
+    Both solves run on the finest graph; no level graph is built.
 
     Raises:
         ShapeMismatch: ``f`` is not 1-D with one entry per vertex.
         NonFiniteValue: ``f`` holds NaN or infinite entries.
     """
-    current = _level_signal(mr.graphs[0], f, "signal", ShapeMismatch)
+    current = _level_signal(mr.graphs[0].N, f, "signal", ShapeMismatch)
     errors: List[np.ndarray] = []
     for level in range(mr.n_levels):
         kept = mr.keeps[level]
-        smoothed = current if mr.alpha == 0 else \
-            _level_solver(mr, level, "smooth").solve(current)
-        coarse = smoothed[kept]
+        coarse = _smooth(mr, level, current)[kept]
         errors.append(current - _extend(_level_solver(mr, level, "extend"),
                                         kept, coarse))
         current = coarse
@@ -416,9 +527,9 @@ def pyramid_synthesis(mr: Multiresolution, pyr: Pyramid) -> np.ndarray:
         raise LevelMismatch(
             f"pyramid levels {pyr.level_sizes} do not match hierarchy "
             f"{sizes}")
-    current = _level_signal(mr.graphs[-1], pyr.coarse, "coarse signal",
+    current = _level_signal(sizes[-1], pyr.coarse, "coarse signal",
                             LevelMismatch)
-    errors = [_level_signal(mr.graphs[level], err, f"error at level {level}",
+    errors = [_level_signal(sizes[level], err, f"error at level {level}",
                             LevelMismatch)
               for level, err in enumerate(pyr.errors)]
     for level in range(mr.n_levels - 1, -1, -1):

@@ -203,6 +203,25 @@ class TestChebyshev:
         with pytest.raises(exc.BadParameter):
             gs.chebyshev_coeffs(lambda x: 1.0, 5, 1.0)  # scalar return
 
+    def test_interval_ending_below_the_spectrum_refused(self, rng):
+        # The recurrence outside [-1, 1] blows up (entries near 1e7 here).
+        G = gs.sensor(64, seed=0)
+        f = rng.standard_normal(64)
+        lmax = gs.estimate_lmax(G)
+        heat = gs.heat(lmax, tau=10.0)[0]
+        with pytest.raises(exc.BadParameter, match="below the spectrum"):
+            gs.chebyshev_apply(G, gs.chebyshev_coeffs(heat, 30, lmax / 2), f)
+        # Above the largest degree but below the top eigenvalue: refused
+        # once the exact eigenvalue is known.
+        top = float(np.linalg.eigvalsh(G.L.toarray())[-1])
+        short = gs.chebyshev_coeffs(heat, 30, 0.99 * top)
+        assert 0.99 * top > G.L.diagonal().max()
+        gs.chebyshev_apply(G, short, f)
+        gs.compute_fourier_basis(G)
+        with pytest.raises(exc.BadParameter, match="below the spectrum"):
+            gs.chebyshev_apply(G, short, f)
+        gs.chebyshev_apply(G, gs.chebyshev_coeffs(heat, 30, top), f)
+
     def test_apply_shape_check(self, sensor64):
         coeffs = gs.chebyshev_coeffs(np.exp, 5, 9.0)
         with pytest.raises(exc.ShapeMismatch):

@@ -226,6 +226,13 @@ class TestPyramidDirectory:
         with pytest.raises(exc.BadParameter, match="alpha"):
             gio.load_pyramid(tmp_path, G)
 
+    def test_manifest_with_non_integer_keeps_refused(self, tmp_path, rng):
+        G = self._saved_with_manifest_edit(
+            tmp_path, rng,
+            lambda m: m.update(keeps=[[k + 0.5 for k in m["keeps"][0]]]))
+        with pytest.raises(exc.BadParameter, match="integers"):
+            gio.load_pyramid(tmp_path, G)
+
     def test_fingerprint_survives_mtx_round_trip(self, tmp_path):
         G = gs.sensor(30, seed=1)
         gio.save_graph(tmp_path / "g.mtx", G)

@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose
 
 import graphsig as gs
 from graphsig import exceptions as exc
+from graphsig import io as gio
 from graphsig import pyramid
+from graphsig.cli import main
 
 from oracles import dense_schur
 
@@ -58,6 +60,18 @@ class TestKronReduce:
         # Deduplicating would return a 2 x 2 reduction for three indices.
         with pytest.raises(exc.BadParameter):
             gs.kron_reduce(gs.path(4).L, [0, 0, 3])
+
+    def test_non_integer_kept_refused(self):
+        # A float would be truncated onto {0, 2}, a mask read as {0, 1}.
+        L = gs.path(4).L
+        for kept in ([0.0, 2.9], [True, False, True, False]):
+            with pytest.raises(exc.BadParameter, match="integers"):
+                gs.kron_reduce(L, kept)
+        with pytest.raises(exc.EmptyKeptSet):
+            gs.kron_reduce(L, np.array([], dtype=float))
+        assert np.array_equal(
+            gs.kron_reduce(L, np.array([0, 3], dtype=np.int32)).toarray(),
+            gs.kron_reduce(L, [0, 3]).toarray())
 
     def test_disconnected_elimination_fails(self):
         W = sp.block_diag([gs.path(2).W, gs.path(2).W], format="csr")
@@ -151,6 +165,25 @@ class TestHierarchy:
         with pytest.raises(exc.BadParameter):
             gs.multiresolution_from_keeps(G, [np.append(keep, keep[-1])])
 
+    def test_from_keeps_refuses_non_integer_keeps(self):
+        G = gs.sensor(48, seed=7)
+        for kept in (np.arange(0, G.N, 2) + 0.5,
+                     np.arange(G.N) % 2 == 0):
+            with pytest.raises(exc.BadParameter, match="integers"):
+                gs.multiresolution_from_keeps(G, [kept])
+        with pytest.raises(exc.EmptyKeptSet):
+            gs.multiresolution_from_keeps(G, [[]])
+
+    def test_from_keeps_refuses_a_kept_set_covering_a_level(self):
+        G = gs.sensor(48, seed=7)
+        keep = np.arange(0, G.N, 2)
+        with pytest.raises(exc.BadParameter):
+            gs.multiresolution_from_keeps(G, [np.arange(G.N)])
+        with pytest.raises(exc.BadParameter):
+            gs.multiresolution_from_keeps(G, [keep, np.arange(keep.size)])
+        with pytest.raises(exc.IndexOutOfRange):
+            gs.multiresolution_from_keeps(G, [keep, [0, keep.size]])
+
     def test_rebuild_from_keeps(self):
         G1 = gs.sensor(48, seed=7)
         mr = gs.graph_multiresolution(G1, 2, alpha=0.7, epsilon=0.01)
@@ -219,6 +252,16 @@ class TestInterpolate:
     def test_repeated_kept_index_refused(self):
         with pytest.raises(exc.BadParameter):
             gs.interpolate(gs.path(6), [0, 0, 5], [1.0, 2.0])
+
+    def test_non_integer_kept_refused(self, sensor64):
+        # A float would put its value on the truncated vertex.
+        for kept in ([0.2, 3.7], [False, True]):
+            with pytest.raises(exc.BadParameter, match="integers"):
+                gs.interpolate(sensor64, kept, [1.0, 2.0])
+        vals = np.array([1.0, 2.0])
+        assert np.array_equal(
+            gs.interpolate(sensor64, np.array([3, 0], dtype=np.int32), vals),
+            gs.interpolate(sensor64, [3, 0], vals))
 
 
 class TestPyramidTransform:
@@ -328,3 +371,98 @@ class TestPyramidTransform:
         column = gs.Pyramid(pyr.coarse[:, None], pyr.errors, pyr.level_sizes)
         with pytest.raises(exc.ShapeMismatch):
             gs.pyramid_synthesis(mr, column)
+
+
+@pytest.fixture()
+def kron_calls(monkeypatch):
+    """Sizes of the kept sets passed to ``pyramid.kron_reduce``, one per
+    call, from here on."""
+    calls = []
+    real = pyramid.kron_reduce
+
+    def counted(L, kept):
+        calls.append(len(kept))
+        return real(L, kept)
+
+    monkeypatch.setattr(pyramid, "kron_reduce", counted)
+    return calls
+
+
+def _chained_levels(G, keeps):
+    """The level graphs by explicit chained Kron reduction."""
+    graphs = [G]
+    for level, kept in enumerate(keeps):
+        prev = graphs[-1]
+        W = pyramid._laplacian_to_weights(gs.kron_reduce(prev.L, kept))
+        graphs.append(gs.graph_from_weights(
+            W, directed=False, coords=prev.coords[kept],
+            name=f"{G.name}/level{level + 1}"))
+    return graphs
+
+
+class TestLazyLevels:
+    @pytest.mark.parametrize("n_levels", [0, 1, 2, 3])
+    def test_selection_reduces_only_the_levels_it_reads(self, kron_calls,
+                                                        n_levels):
+        G = gs.sensor(300, seed=4)
+        mr = gs.graph_multiresolution(G, n_levels)
+        assert len(kron_calls) == max(n_levels - 1, 0)
+        coarsest = mr.graphs[n_levels]
+        assert len(kron_calls) == n_levels
+        mr.graphs[n_levels]
+        assert len(kron_calls) == n_levels
+        ref = _chained_levels(G, mr.keeps)[-1]
+        assert coarsest.name == ref.name
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(coarsest.W, attr),
+                                  getattr(ref.W, attr))
+        assert np.array_equal(coarsest.coords, ref.coords)
+
+    def test_reload_and_operators_reduce_nothing(self, kron_calls, rng,
+                                                 tmp_path):
+        G = gs.sensor(200, seed=2)
+        keeps = gs.graph_multiresolution(G, 3).keeps
+        f = rng.standard_normal(G.N)
+        del kron_calls[:]
+        mr = gs.multiresolution_from_keeps(G, keeps, alpha=0.5)
+        pyr = gs.pyramid_analysis(mr, f)
+        gio.save_pyramid(tmp_path, mr, pyr, signal=f)
+        loaded, stored, _ = gio.load_pyramid(tmp_path, G)
+        rec = gs.pyramid_synthesis(loaded, stored)
+        assert loaded.level_sizes() == [G.N] + [k.size for k in keeps]
+        assert kron_calls == []
+        assert np.abs(rec - f).max() <= 1e-10
+
+    def test_cli_synthesize_reduces_nothing(self, kron_calls, rng,
+                                            tmp_path):
+        G = gs.sensor(120, seed=5)
+        gio.save_graph(tmp_path / "g.mtx", G)
+        G = gio.load_graph(tmp_path / "g.mtx")
+        mr = gs.graph_multiresolution(G, 2)
+        f = rng.standard_normal(G.N)
+        gio.save_pyramid(tmp_path / "pyr", mr, gs.pyramid_analysis(mr, f),
+                         signal=f)
+        del kron_calls[:]
+        assert main(["pyramid", "synthesize", str(tmp_path / "g.mtx"),
+                     str(tmp_path / "pyr"),
+                     "--out", str(tmp_path / "rec.csv")]) == 0
+        assert kron_calls == []
+        assert np.abs(gio.load_signal(tmp_path / "rec.csv") - f).max() \
+            <= 1e-10
+
+    def test_graphs_read_like_a_list(self, kron_calls):
+        G = gs.sensor(120, seed=5)
+        assert gs.graph_multiresolution(G, 0).graphs == [G]
+        mr = gs.multiresolution_from_keeps(
+            G, gs.graph_multiresolution(G, 2).keeps)
+        del kron_calls[:]
+        assert len(mr.graphs) == 3 and mr.graphs[0] is G
+        assert kron_calls == []
+        assert [g.N for g in mr.graphs] == mr.level_sizes()
+        assert len(kron_calls) == 2
+        assert mr.graphs[-1] is mr.graphs[2]
+        assert mr.graphs[1:] == [mr.graphs[1], mr.graphs[2]]
+        assert mr.graphs == list(mr.graphs)
+        with pytest.raises(IndexError):
+            mr.graphs[3]
+        assert len(kron_calls) == 2

@@ -3,8 +3,10 @@ spectral-bound helper.
 
 Random small sensor graphs; every level of a pyramid must be a Schur
 complement, rebuilding from stored keeps must repeat the reduction exactly,
-interpolation must agree with the dense Green's-function fit, and the bound
-helper must never fall below the true top eigenvalue.
+interpolation must agree with the dense Green's-function fit, each level's
+smoothing and extension must agree with dense formulas on that level's Schur
+complement, and the bound helper must never fall below the true top
+eigenvalue.
 """
 
 from unittest import mock
@@ -98,9 +100,59 @@ def test_cached_level_extension_is_public_interpolate(G, levels, epsilon,
     for level, kept in enumerate(mr.keeps):
         vals = rng.standard_normal(kept.size)
         ext = pyramid._level_solver(mr, level, "extend")
-        assert np.array_equal(
-            pyramid._extend(ext, kept, vals),
-            gs.interpolate(mr.graphs[level], kept, vals, epsilon=epsilon))
+        ref = gs.interpolate(mr.graphs[level], kept, vals, epsilon=epsilon)
+        if level == 0:
+            assert np.array_equal(pyramid._extend(ext, kept, vals), ref)
+        else:
+            assert_allclose(pyramid._extend(ext, kept, vals), ref, rtol=0,
+                            atol=1e-10 * np.abs(ref).max())
+
+
+@st.composite
+def keep_chains(draw):
+    """A sensor graph and a random chain of 1 to 3 nested kept sets."""
+    G = draw(sensor_graphs())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    keeps, size = [], G.N
+    for _ in range(draw(st.integers(1, 3))):
+        if size < 2:
+            break
+        kept = np.sort(rng.choice(size, size=rng.integers(1, size),
+                                  replace=False))
+        keeps.append(kept)
+        size = kept.size
+    return G, keeps, rng
+
+
+@PROPERTY_SETTINGS
+@given(keep_chains(), st.one_of(st.just(0.0), st.floats(0.0, 2.0,
+                                                         exclude_min=True)),
+       st.floats(1e-3, 0.5))
+def test_level_operators_match_dense_schur_levels(chain, alpha, epsilon):
+    # Every level's smoothing and extension run on the finest graph; the
+    # reference works on that level's dense Schur complement.
+    G, keeps, rng = chain
+    mr = gs.multiresolution_from_keeps(G, keeps, alpha=alpha, epsilon=epsilon)
+    L = G.L.toarray()
+    vertices = np.arange(G.N)
+    for level, kept in enumerate(keeps):
+        S = L if level == 0 else dense_schur(L, vertices)
+        n = vertices.size
+        x = rng.standard_normal(n)
+        smoothed = np.linalg.solve(np.eye(n) + alpha * S, x)
+        assert_allclose(pyramid._smooth(mr, level, x), smoothed, rtol=0,
+                        atol=1e-10 * np.abs(smoothed).max())
+        vals = rng.standard_normal(kept.size)
+        rest = np.setdiff1d(np.arange(n), kept)
+        extended = np.empty(n)
+        extended[kept] = vals
+        extended[rest] = -np.linalg.solve(
+            S[np.ix_(rest, rest)] + epsilon * np.eye(rest.size),
+            S[np.ix_(rest, kept)] @ vals)
+        ext = pyramid._level_solver(mr, level, "extend")
+        assert_allclose(pyramid._extend(ext, kept, vals), extended, rtol=0,
+                        atol=1e-10 * np.abs(extended).max())
+        vertices = vertices[kept]
 
 
 @PROPERTY_SETTINGS
