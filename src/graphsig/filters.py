@@ -29,8 +29,8 @@ from typing import Callable, List, Optional
 
 import numpy as np
 
-from .exceptions import BadParameter, ShapeMismatch
-from .graphs import Graph, _as_signal
+from .exceptions import BadParameter, NonFiniteValue, ShapeMismatch
+from .graphs import Graph, _as_signal, _check_int, _check_real
 from .spectral import estimate_lmax, get_lmax, get_spectral
 
 
@@ -85,10 +85,7 @@ def _resolve_lmax(G_or_lmax) -> float:
     """Spectral interval endpoint from a graph (estimating if needed) or number."""
     if isinstance(G_or_lmax, Graph):
         return estimate_lmax(G_or_lmax)
-    val = float(G_or_lmax)
-    if not np.isfinite(val) or val <= 0:
-        raise BadParameter(f"lmax must be a positive number, got {val!r}")
-    return val
+    return _check_real("lmax", G_or_lmax, positive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -101,13 +98,12 @@ def heat(G_or_lmax, tau: float = 10.0) -> FilterBank:
     ``tau`` controls diffusion time; ``tau = 0`` is the identity filter.
     """
     lmax = _resolve_lmax(G_or_lmax)
-    if tau < 0:
-        raise BadParameter(f"tau must be >= 0, got {tau}")
+    tau = _check_real("tau", tau)
     kern = Kernel(lambda x, t=tau, lm=lmax: np.exp(-t * x / lm),
                   label=f"heat(tau={tau:g})")
     return FilterBank([kern], lmax,
                       design={"kind": "heat", "lmax": lmax,
-                              "params": {"tau": float(tau)}})
+                              "params": {"tau": tau}})
 
 
 def _mexican_mother(x: np.ndarray) -> np.ndarray:
@@ -220,9 +216,8 @@ def gabor(G_or_lmax, n_shifts: int = 8, width: Optional[float] = None,
     lmax = _resolve_lmax(G_or_lmax)
     if n_shifts < 1:
         raise BadParameter(f"n_shifts must be >= 1, got {n_shifts}")
-    if width is not None and width <= 0:
-        raise BadParameter(f"width must be positive, got {width}")
-    w = float(width) if width is not None else lmax / n_shifts
+    w = (_check_real("width", width, positive=True) if width is not None
+         else lmax / n_shifts)
     centers = np.linspace(0.0, lmax, n_shifts)
     if mother is None:
         def mk(c):
@@ -264,8 +259,7 @@ def expwin(G_or_lmax, band: float = 0.2, transition: float = 0.5) -> FilterBank:
     lmax = _resolve_lmax(G_or_lmax)
     if not 0.0 < band <= 1.0:
         raise BadParameter(f"band must lie in (0, 1], got {band}")
-    if transition <= 0:
-        raise BadParameter(f"transition must be positive, got {transition}")
+    transition = _check_real("transition", transition, positive=True)
     b = band * lmax
     kern = Kernel(
         lambda x: _smooth_step(((1.0 + transition) * b - np.asarray(x, float))
@@ -274,7 +268,7 @@ def expwin(G_or_lmax, band: float = 0.2, transition: float = 0.5) -> FilterBank:
     return FilterBank([kern], lmax,
                       design={"kind": "expwin", "lmax": lmax,
                               "params": {"band": float(band),
-                                         "transition": float(transition)}})
+                                         "transition": transition}})
 
 
 def _warp_from_knots(knots_x: np.ndarray, knots_y: np.ndarray):
@@ -397,11 +391,10 @@ def chebyshev_coeffs(kernel, order: int, lmax: float) -> ChebyshevCoeffs:
         order: Polynomial order ``K >= 1``; ``K + 1`` coefficients result.
         lmax: Right end of the interval (must be positive).
     """
-    order = int(order)
+    order = _check_int("order", order)
     if order < 1:
         raise BadParameter(f"order must be >= 1, got {order}")
-    if not np.isfinite(lmax) or lmax <= 0:
-        raise BadParameter(f"lmax must be positive, got {lmax}")
+    lmax = _check_real("lmax", lmax, positive=True)
     npts = order + 1
     theta = np.pi * (np.arange(npts) + 0.5) / npts
     nodes = 0.5 * lmax * (np.cos(theta) + 1.0)
@@ -412,7 +405,7 @@ def chebyshev_coeffs(kernel, order: int, lmax: float) -> ChebyshevCoeffs:
     # so a constant kernel of one yields c_0 == 2 exactly.
     basis = np.cos(np.outer(np.arange(npts), theta))
     c = (basis @ vals) * 2.0 / npts
-    return ChebyshevCoeffs(c=c, order=order, lmax=float(lmax))
+    return ChebyshevCoeffs(c=c, order=order, lmax=lmax)
 
 
 def _chebyshev_bank(L, C: np.ndarray, lmax: float, X: np.ndarray,
@@ -613,15 +606,21 @@ def frame_bounds(bank: FilterBank, lmax: Optional[float] = None,
     ``A`` and ``B`` are the extrema of the summed squared kernel responses
     over ``grid_size`` points spanning ``[0, lmax]``, plus any explicitly
     supplied eigenvalues.  ``A == B`` (numerically) means a tight frame.
+
+    Raises:
+        BadParameter: ``lmax`` is not finite and positive.
+        NonFiniteValue: An eigenvalue is NaN or infinite.
     """
     if grid_size < 2:
         raise BadParameter(f"grid_size must be >= 2, got {grid_size}")
-    if lmax is None:
-        lmax = bank.lmax
-    if lmax <= 0:
-        raise BadParameter(f"lmax must be positive, got {lmax}")
-    x = np.linspace(0.0, float(lmax), int(grid_size))
+    lmax = _check_real("lmax", bank.lmax if lmax is None else lmax,
+                       positive=True)
+    x = np.linspace(0.0, lmax, int(grid_size))
     if eigenvalues is not None:
-        x = np.concatenate([x, np.asarray(eigenvalues, dtype=float).ravel()])
+        eigs = np.asarray(eigenvalues, dtype=float).ravel()
+        if not np.all(np.isfinite(eigs)):
+            raise NonFiniteValue(
+                "eigenvalues contain NaN or infinite entries")
+        x = np.concatenate([x, eigs])
     total = (bank.evaluate(x) ** 2).sum(axis=0)
     return float(total.min()), float(total.max())

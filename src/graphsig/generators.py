@@ -22,7 +22,7 @@ from .exceptions import (
     PatchLargerThanImage,
     SizeTooSmall,
 )
-from .graphs import Graph, graph_from_weights
+from .graphs import Graph, _check_real, graph_from_weights
 
 
 def _undirected(rows, cols, vals, n, **kwargs) -> Graph:
@@ -237,8 +237,7 @@ def two_moons(n: int, seed: int = 0, noise: float = 0.05,
     """Two interleaved half circles with Gaussian jitter, connected by kNN."""
     if n < 2:
         raise SizeTooSmall(f"two_moons needs at least 2 vertices, got {n}")
-    if radius <= 0:
-        raise BadParameter(f"radius must be positive, got {radius}")
+    radius = _check_real("radius", radius, positive=True)
     rng = np.random.default_rng(seed)
     n_top = n // 2
     n_bot = n - n_top
@@ -316,8 +315,8 @@ def nn_graph(points, k: Optional[int] = None, epsilon: Optional[float] = None,
         raise BadParameter("points contain NaN or infinite entries")
     if (k is None) == (epsilon is None):
         raise BadParameter("give exactly one of k= or epsilon=")
-    if sigma is not None and sigma <= 0:
-        raise BadParameter(f"sigma must be positive, got {sigma}")
+    if sigma is not None:
+        sigma = _check_real("sigma", sigma, positive=True)
     m = pts.shape[0]
 
     if k is not None:
@@ -325,10 +324,9 @@ def nn_graph(points, k: Optional[int] = None, epsilon: Optional[float] = None,
         W = sp.coo_array((vals, (rows, cols)), shape=(m, m)).tocsr()
         W = W.maximum(W.T)
     else:
-        if epsilon <= 0:
-            raise BadParameter(f"epsilon must be positive, got {epsilon}")
+        epsilon = _check_real("epsilon", epsilon, positive=True)
         tree = cKDTree(pts)
-        pairs = tree.query_pairs(float(epsilon), output_type="ndarray")
+        pairs = tree.query_pairs(epsilon, output_type="ndarray")
         if pairs.size:
             dists = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
             if sigma is None:
@@ -338,14 +336,14 @@ def nn_graph(points, k: Optional[int] = None, epsilon: Optional[float] = None,
                         "all selected pair distances are zero; give sigma "
                         "explicitly")
             else:
-                used_sigma = float(sigma)
+                used_sigma = sigma
             vals = np.exp(-(dists / used_sigma) ** 2)
             W = sp.coo_array((vals, (pairs[:, 0], pairs[:, 1])),
                              shape=(m, m)).tocsr()
             W = sp.csr_array(W + W.T)
         else:
             W = sp.csr_array((m, m))
-            used_sigma = float(sigma) if sigma is not None else 0.0
+            used_sigma = sigma if sigma is not None else 0.0
 
     coords = pts[:, :3] if pts.shape[1] >= 3 else pts[:, :2]
     if pts.shape[1] < 2:
@@ -392,8 +390,9 @@ def patch_graph(image, patch_size: int = 5, k: int = 10,
         raise PatchLargerThanImage(
             f"patch {patch_size}x{patch_size} does not fit in a "
             f"{h}x{w} image")
-    if search_window is not None and search_window <= 0:
-        raise BadParameter("search_window must be positive")
+    if search_window is not None:
+        search_window = _check_real("search_window", search_window,
+                                    positive=True)
 
     pad = patch_size // 2
     padded = np.pad(img, ((pad, pad), (pad, pad), (0, 0)), mode="symmetric")
@@ -403,7 +402,7 @@ def patch_graph(image, patch_size: int = 5, k: int = 10,
 
     rr, cc = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     if search_window is not None:
-        scale = np.sqrt(feats.shape[1]) / float(search_window)
+        scale = np.sqrt(feats.shape[1]) / search_window
         feats = np.column_stack([feats,
                                  scale * cc.ravel(), scale * rr.ravel()])
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,6 +29,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .exceptions import (
+    BadParameter,
     EmptyGraph,
     KindMismatch,
     NegativeWeight,
@@ -249,6 +252,39 @@ def _as_signal(G, f, label: str = "signal") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteValue(f"{label} contains NaN or infinite entries")
     return arr
+
+
+def _as_1d_signal(n: int, x, label: str = "signal",
+                  size_error=ShapeMismatch) -> np.ndarray:
+    """A finite 1-D signal of ``n`` entries; wrong lengths raise
+    ``size_error``, a second axis ``ShapeMismatch``."""
+    arr = np.asarray(x, dtype=float)
+    if arr.shape[:1] != (n,):
+        raise size_error(
+            f"{label} must have {n} entries, got shape {arr.shape}")
+    if arr.ndim != 1:
+        raise ShapeMismatch(f"{label} must be 1-D, got shape {arr.shape}")
+    return _as_signal(n, arr, label)
+
+
+def _check_real(name: str, value, positive: bool = False) -> float:
+    """``value`` as a float; ``BadParameter`` unless it is a finite real
+    number ``>= 0`` (``> 0`` with ``positive``).  NaN fails every
+    comparison, so the test lets good values in rather than bad ones out."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and (value > 0 if positive else value >= 0)):
+        raise BadParameter(f"{name} must be "
+                           f"{'positive' if positive else '>= 0'} and "
+                           f"finite, got {value!r}")
+    return float(value)
+
+
+def _check_int(name: str, value) -> int:
+    """``value`` as an int; ``BadParameter`` unless it is a Python or numpy
+    integer, since a cast would truncate a float and read a bool as 0/1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise BadParameter(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _fingerprint(G: Graph) -> str:

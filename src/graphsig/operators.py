@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .exceptions import ShapeMismatch
 from .graphs import Graph, _as_signal
 
 
@@ -39,14 +38,9 @@ def incidence(G: Graph) -> IncidenceOperator:
     """Build (or fetch the cached) incidence operator of a graph."""
     if G._incidence is not None:
         return G._incidence
-    if G.directed:
-        coo = G.W.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        src, dst, w = coo.row[order], coo.col[order], coo.data[order]
-    else:
-        coo = sp.triu(G.W, k=1).tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        src, dst, w = coo.row[order], coo.col[order], coo.data[order]
+    coo = (G.W if G.directed else sp.triu(G.W, k=1)).tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    src, dst, w = coo.row[order], coo.col[order], coo.data[order]
     ne = src.size
     root = np.sqrt(w)
     rows = np.repeat(np.arange(ne), 2)
@@ -74,9 +68,5 @@ def div(G: Graph, s) -> np.ndarray:
 
     Takes an edge signal of length ``Ne`` (or a matrix of such columns).
     """
-    op = incidence(G)
-    arr = np.asarray(s, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[0] != op.D.shape[0]:
-        raise ShapeMismatch(
-            f"edge signal must have {op.D.shape[0]} rows, got {arr.shape}")
-    return op.D.T @ arr
+    D = incidence(G).D
+    return D.T @ _as_signal(D.shape[0], s, "edge signal")

@@ -18,7 +18,7 @@ from .exceptions import BadParameter, NotTightFrame, ShapeMismatch, SolverFailur
 # filter_analysis and filter_synthesis stay importable from this module.
 from .filters import (FilterBank, _bank_operator, _squeezed,  # noqa: F401
                       filter_analysis, filter_synthesis, frame_bounds)
-from .graphs import Graph, _as_signal
+from .graphs import Graph, _as_1d_signal, _as_signal, _check_real
 from .operators import incidence
 from .spectral import _lmax_bound, get_lmax
 
@@ -55,9 +55,17 @@ class SolverReport:
 
 
 def snr(reference, estimate) -> float:
-    """Signal-to-noise ratio of ``estimate`` against ``reference``, in dB."""
+    """Signal-to-noise ratio of ``estimate`` against ``reference``, in dB.
+
+    Raises:
+        ShapeMismatch: The two arrays differ in shape.
+    """
     ref = np.asarray(reference, dtype=float)
-    err = ref - np.asarray(estimate, dtype=float)
+    est = np.asarray(estimate, dtype=float)
+    if est.shape != ref.shape:
+        raise ShapeMismatch(f"estimate has shape {est.shape}, reference "
+                            f"{ref.shape}")
+    err = ref - est
     p_ref = float(np.sum(ref ** 2))
     p_err = float(np.sum(err ** 2))
     if p_err == 0:
@@ -86,8 +94,7 @@ def prox_tv(G: Graph, y, gamma: float, max_iter: int = 1000,
         ``(x, SolverReport)``; the report's ``residual`` is the final
         relative duality gap.
     """
-    if gamma < 0:
-        raise BadParameter(f"gamma must be >= 0, got {gamma}")
+    gamma = _check_real("gamma", gamma)
     arr, was_1d = _as_signal(G, y).reshape(G.N, -1), np.ndim(y) == 1
     op = incidence(G)
     D = op.D
@@ -161,8 +168,7 @@ def tik_denoise(G: Graph, y, gamma: float, tol: float = 1e-10,
         ``(x, SolverReport)``; the report's ``residual`` is the worst
         relative linear residual over the columns.
     """
-    if gamma < 0:
-        raise BadParameter(f"gamma must be >= 0, got {gamma}")
+    gamma = _check_real("gamma", gamma)
     arr, was_1d = _as_signal(G, y).reshape(G.N, -1), np.ndim(y) == 1
     if gamma == 0:
         x = arr.copy()
@@ -238,8 +244,7 @@ def wavelet_denoise(G: Graph, bank: FilterBank, y, tau: float,
     Returns:
         ``(x, SolverReport)``; single-shot, so ``iterations == 1``.
     """
-    if tau < 0:
-        raise BadParameter(f"tau must be >= 0, got {tau}")
+    tau = _check_real("tau", tau)
     a, b = _bank_bounds(G, bank)
     if abs(b - a) > TIGHTNESS_TOL * max(1.0, abs(b)):
         raise NotTightFrame(
@@ -248,7 +253,7 @@ def wavelet_denoise(G: Graph, bank: FilterBank, y, tau: float,
     y = _as_signal(G, y)
     apply = _bank_operator(G, bank, method, order)
     coef = apply(y.reshape(G.N, -1))
-    shrunk = _soft(coef, float(tau))
+    shrunk = _soft(coef, tau)
     x = apply(shrunk, adjoint=True) / a
     delta = shrunk - coef
     obj = float(tau * np.sum(np.abs(shrunk)) + 0.5 * np.sum(delta ** 2))
@@ -275,7 +280,8 @@ def solve_bpdn(G: Graph, bank: FilterBank, y, lam: float = 0.1,
         bank: Synthesis dictionary.
         y: Signal ``(N,)`` or signals ``(N, k)``.
         lam: Nonnegative sparsity weight.
-        mask: Optional boolean vertex mask of observed entries.
+        mask: Optional vertex mask, nonzero where the entry is observed;
+            NaN or infinite entries raise ``NonFiniteValue``.
         max_iter: Iteration cap.
         tol: Relative objective-change tolerance.
         method: ``"exact"`` or ``"chebyshev"`` filtering path.
@@ -295,17 +301,11 @@ def _solve_bpdn(G: Graph, bank: FilterBank, y, lam: float, mask,
     """:func:`solve_bpdn`, returning ``(c, synthesis(c), report)``; the
     synthesis is the one the solver already holds, shaped as
     :func:`graphsig.filters.filter_synthesis` returns it."""
-    if lam < 0:
-        raise BadParameter(f"lam must be >= 0, got {lam}")
+    lam = _check_real("lam", lam)
     arr = _as_signal(G, y).reshape(G.N, -1)
+    m = None
     if mask is not None:
-        m = np.asarray(mask).astype(bool)
-        if m.shape != (G.N,):
-            raise ShapeMismatch(
-                f"mask must have shape ({G.N},), got {m.shape}")
-        m = m[:, None].astype(float)
-    else:
-        m = None
+        m = (_as_1d_signal(G.N, mask, "mask") != 0)[:, None].astype(float)
 
     _, b_upper = _bank_bounds(G, bank)
     if b_upper <= 0:

@@ -7,14 +7,14 @@ graph and signal always produce byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exceptions import BadParameter, MissingCoordinates, ShapeMismatch
+from .exceptions import BadParameter, MissingCoordinates
 from .filters import FilterBank
-from .graphs import Graph
+from .graphs import Graph, _as_1d_signal, _check_real
 from .operators import incidence
 
 #: Perceptually ordered dark-to-bright map used for vertex colors.
@@ -60,8 +60,8 @@ class PlotStyle:
     def __post_init__(self):
         if self.width < 50 or self.height < 50:
             raise BadParameter("figure must be at least 50x50 pixels")
-        if self.vertex_radius <= 0 or self.edge_width <= 0:
-            raise BadParameter("vertex_radius and edge_width must be positive")
+        _check_real("vertex_radius", self.vertex_radius, positive=True)
+        _check_real("edge_width", self.edge_width, positive=True)
 
     @classmethod
     def for_graph(cls, G: Graph) -> "PlotStyle":
@@ -127,7 +127,8 @@ def export_graph_svg(G: Graph, signal=None, style: Optional[PlotStyle] = None,
 
     Raises:
         MissingCoordinates: The graph has no coordinates.
-        ShapeMismatch: Signal length is not ``N``.
+        ShapeMismatch: The signal is not 1-D of length ``N``.
+        NonFiniteValue: The signal holds NaN or infinite entries.
     """
     if G.coords is None:
         raise MissingCoordinates(
@@ -135,12 +136,7 @@ def export_graph_svg(G: Graph, signal=None, style: Optional[PlotStyle] = None,
     st = style or PlotStyle.for_graph(G)
     stops = st.stops()
     coords = np.asarray(G.coords, dtype=float)[:, :2]
-    vals = None
-    if signal is not None:
-        vals = np.asarray(signal, dtype=float).ravel()
-        if vals.shape[0] != G.N:
-            raise ShapeMismatch(
-                f"signal must have {G.N} entries, got {vals.shape[0]}")
+    vals = None if signal is None else _as_1d_signal(G.N, signal)
 
     bar_w = 56 if vals is not None else 0
     margin = max(20.0, st.vertex_radius * 2.0 + 8.0)
@@ -240,9 +236,8 @@ def export_filter_svg(bank: FilterBank, lmax: Optional[float] = None,
     if grid_size < 2:
         raise BadParameter(f"grid_size must be >= 2, got {grid_size}")
     st = style or PlotStyle(width=720, height=420)
-    lm = float(lmax if lmax is not None else bank.lmax)
-    if lm <= 0:
-        raise BadParameter(f"lmax must be positive, got {lm}")
+    lm = _check_real("lmax", bank.lmax if lmax is None else lmax,
+                     positive=True)
     x = np.linspace(0.0, lm, int(grid_size))
     curves = bank.evaluate(x)
     total = (curves ** 2).sum(axis=0)

@@ -32,13 +32,12 @@ from .exceptions import (
     IndexOutOfRange,
     KindMismatch,
     LevelMismatch,
-    NonFiniteValue,
     NotConnected,
-    ShapeMismatch,
     SingularInteriorBlock,
     SolverFailure,
 )
-from .graphs import Graph, LaplacianKind, _as_signal, graph_from_weights
+from .graphs import (Graph, LaplacianKind, _as_1d_signal, _as_signal,
+                     _check_int, _check_real, graph_from_weights)
 from .spectral import _fix_signs, _lanczos_start
 
 #: Off-diagonal entries of a reduced Laplacian in (0, +CLAMP] are treated as
@@ -123,26 +122,13 @@ def kron_reduce(L, kept) -> sp.csr_array:
     return out
 
 
-def _level_graph(graphs: List[Graph], keeps, level: int) -> Graph:
-    """Level ``level`` of a pyramid, materializing the levels below it.
-
-    ``graphs`` holds the levels built so far, finest first; each missing
-    one is Kron-reduced from the one before it onto that level's kept set
-    and appended.
-    """
-    while len(graphs) <= level:
-        prev, kept = graphs[-1], keeps[len(graphs) - 1]
-        coords = prev.coords[kept] if prev.coords is not None else None
-        graphs.append(graph_from_weights(
-            _laplacian_to_weights(kron_reduce(prev.L, kept)), directed=False,
-            kind=LaplacianKind.COMBINATORIAL, coords=coords,
-            name=f"{graphs[0].name or 'graph'}/level{len(graphs)}"))
-    return graphs[level]
-
-
 class _LevelGraphs(Sequence):
-    """The graphs of a pyramid, finest first, each Kron-reduced on first
-    access (see :func:`_level_graph`)."""
+    """The graphs of a pyramid, finest first.
+
+    ``graphs`` holds the levels built so far.  Indexing a missing level
+    Kron-reduces each level up to it from the one before, onto that level's
+    kept set in ``keeps``, a list the hierarchy may still be growing.
+    """
 
     def __init__(self, graphs, keeps):
         self._graphs = list(graphs)
@@ -154,8 +140,17 @@ class _LevelGraphs(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(len(self))[index]]
-        return _level_graph(self._graphs, self._keeps,
-                            range(len(self))[index])
+        level = range(len(self))[index]
+        graphs = self._graphs
+        while len(graphs) <= level:
+            prev, kept = graphs[-1], self._keeps[len(graphs) - 1]
+            coords = prev.coords[kept] if prev.coords is not None else None
+            graphs.append(graph_from_weights(
+                _laplacian_to_weights(kron_reduce(prev.L, kept)),
+                directed=False, kind=LaplacianKind.COMBINATORIAL,
+                coords=coords,
+                name=f"{graphs[0].name or 'graph'}/level{len(graphs)}"))
+        return graphs[level]
 
     def __eq__(self, other):
         return list(self) == other
@@ -170,7 +165,8 @@ class Multiresolution:
 
     The analysis and synthesis operators need only the finest graph and the
     kept sets: each level costs two sparse LUs of at most ``N`` rows of the
-    finest Laplacian, built on first use, and no level graph.
+    finest Laplacian, built on first use, and no level graph.  However it
+    is built, the hierarchy validates itself on construction.
 
     Attributes:
         graphs: ``n_levels + 1`` graphs, finest first.  Only the given ones
@@ -183,6 +179,15 @@ class Multiresolution:
         fallback_levels: Level indices where the eigenvector split was
             degenerate and the deterministic every-other-vertex fallback was
             used instead.
+
+    Raises:
+        KindMismatch: The active Laplacian is not the combinatorial one.
+        NotConnected: The graph is disconnected (elimination blocks would
+            go singular).
+        BadParameter: ``alpha`` or ``epsilon`` is not finite and in range,
+            or a kept set is not integer, repeats an index or covers its
+            level.
+        EmptyKeptSet, IndexOutOfRange: A kept set is empty or out of range.
     """
 
     graphs: Sequence[Graph]
@@ -192,13 +197,34 @@ class Multiresolution:
     fallback_levels: List[int] = field(default_factory=list)
 
     def __post_init__(self):
+        G = self.graphs[0]
+        if G.directed or G.lap_kind is not LaplacianKind.COMBINATORIAL:
+            raise KindMismatch(
+                "multiresolution needs an undirected graph with its "
+                "combinatorial laplacian active")
+        if not G.is_connected():
+            raise NotConnected("multiresolution needs a connected graph")
+        self.alpha = _check_real("alpha", self.alpha)
+        self.epsilon = _check_real("epsilon", self.epsilon, positive=True)
+        given, self.keeps = self.keeps, []
         self.graphs = _LevelGraphs(self.graphs, self.keeps)
         # Per level: the solvers built so far, see _level_solver.
-        self._solvers = [{} for _ in self.keeps]
+        self._solvers = []
         # Per level: its vertices as sorted indices into the finest graph.
-        self._vertices = [np.arange(self.graphs[0].N)]
-        for kept in self.keeps:
-            self._vertices.append(self._vertices[-1][kept])
+        self._vertices = [np.arange(G.N)]
+        for kept in given:
+            self._add_level(kept)
+
+    def _add_level(self, kept) -> None:
+        """Append one reduction step of the coarsest level onto ``kept``."""
+        level, size = len(self.keeps), self._vertices[-1].size
+        kept = _check_kept(size, kept)
+        if kept.size == size:
+            raise BadParameter(f"kept set of level {level} must leave at "
+                               "least one vertex out")
+        self.keeps.append(kept)
+        self._solvers.append({})
+        self._vertices.append(self._vertices[-1][kept])
 
     @property
     def n_levels(self) -> int:
@@ -247,46 +273,6 @@ def _select_kept(L: sp.csr_array) -> tuple[np.ndarray, bool]:
     return kept, False
 
 
-def _reduce_levels(G: Graph, n_levels: int, choose, alpha: float,
-                   epsilon: float) -> Multiresolution:
-    """The one level loop: validate once, then choose the kept sets.
-
-    ``choose(level, graphs, keeps)`` returns the kept indices for that level
-    and whether they came from the deterministic fallback; it may read the
-    level's graph with ``_level_graph(graphs, keeps, level)``.  Nothing here
-    Kron-reduces: the hierarchy holds the graphs ``choose`` built.
-    """
-    if G.directed or G.lap_kind is not LaplacianKind.COMBINATORIAL:
-        raise KindMismatch(
-            "multiresolution needs an undirected graph with its "
-            "combinatorial laplacian active")
-    if not G.is_connected():
-        raise NotConnected("multiresolution needs a connected graph")
-    if n_levels < 0:
-        raise BadParameter(f"n_levels must be >= 0, got {n_levels}")
-    if alpha < 0:
-        raise BadParameter(f"alpha must be >= 0, got {alpha}")
-    if epsilon <= 0:
-        raise BadParameter(f"epsilon must be positive, got {epsilon}")
-
-    graphs = [G]
-    keeps: List[np.ndarray] = []
-    fallback: List[int] = []
-    size = G.N
-    for level in range(int(n_levels)):
-        kept, used_fallback = choose(level, graphs, keeps)
-        kept = _check_kept(size, kept)
-        if kept.size == size:
-            raise BadParameter(f"kept set of level {level} must leave at "
-                               "least one vertex out")
-        if used_fallback:
-            fallback.append(level)
-        keeps.append(kept)
-        size = kept.size
-    return Multiresolution(graphs=graphs, keeps=keeps, alpha=float(alpha),
-                           epsilon=float(epsilon), fallback_levels=fallback)
-
-
 def graph_multiresolution(G: Graph, n_levels: int, alpha: float = 1.0,
                           epsilon: float = 0.005) -> Multiresolution:
     """Build a Kron-reduction pyramid of ``n_levels + 1`` graphs.
@@ -302,20 +288,25 @@ def graph_multiresolution(G: Graph, n_levels: int, alpha: float = 1.0,
         epsilon: Interpolation regularization, must be > 0.
 
     Raises:
-        KindMismatch: The active Laplacian is not the combinatorial one.
-        NotConnected: The graph is disconnected (elimination blocks would
-            go singular).
-        BadParameter: A level would shrink below two vertices.
+        BadParameter: ``n_levels`` is not a nonnegative integer, or a level
+            would shrink below two vertices.
+        GraphSigError: What :class:`Multiresolution` refuses.
     """
-    def choose(level, graphs, keeps):
-        current = _level_graph(graphs, keeps, level)
+    n_levels = _check_int("n_levels", n_levels)
+    if n_levels < 0:
+        raise BadParameter(f"n_levels must be >= 0, got {n_levels}")
+    mr = Multiresolution([G], [], alpha, epsilon)
+    for level in range(n_levels):
+        current = mr.graphs[level]
         if current.N < 2:
             raise BadParameter(
                 f"cannot reduce below 2 vertices (level {level} has "
                 f"{current.N})")
-        return _select_kept(current.L)
-
-    return _reduce_levels(G, n_levels, choose, alpha, epsilon)
+        kept, used_fallback = _select_kept(current.L)
+        if used_fallback:
+            mr.fallback_levels.append(level)
+        mr._add_level(kept)
+    return mr
 
 
 def _laplacian_to_weights(L: sp.csr_array) -> sp.csr_array:
@@ -329,13 +320,10 @@ def _laplacian_to_weights(L: sp.csr_array) -> sp.csr_array:
 
 def multiresolution_from_keeps(G: Graph, keeps, alpha: float = 1.0,
                                epsilon: float = 0.005) -> Multiresolution:
-    """Rebuild a pyramid from stored kept-index chains (deserialization),
-    with the same checks as :func:`graph_multiresolution`.  No level graph
-    is Kron-reduced until one is accessed."""
-    keeps = list(keeps)
-    return _reduce_levels(G, len(keeps),
-                          lambda level, *_: (keeps[level], False),
-                          alpha, epsilon)
+    """Rebuild a pyramid from stored kept-index chains (deserialization).
+    The hierarchy validates itself (see :class:`Multiresolution`).  No level
+    graph is Kron-reduced until one is accessed."""
+    return Multiresolution([G], keeps, alpha, epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -402,26 +390,21 @@ def interpolate(G: Graph, kept, values, epsilon: float = 0.005) -> np.ndarray:
         epsilon: Positive regularization.
 
     Raises:
-        BadParameter: ``kept`` is not integer or repeats an index.
+        BadParameter: ``kept`` is not integer or repeats an index, or
+            ``epsilon`` is not finite and positive.
         ShapeMismatch: ``values`` does not match ``kept``.
         NonFiniteValue: ``values`` holds NaN or infinite entries.
         SolverFailure: The extension system is singular.
     """
-    if epsilon <= 0:
-        raise BadParameter(f"epsilon must be positive, got {epsilon}")
+    epsilon = _check_real("epsilon", epsilon, positive=True)
     sorted_kept = _check_kept(G.N, kept)
-    vals = np.asarray(values, dtype=float)
-    if vals.ndim not in (1, 2) or vals.shape[0] != sorted_kept.size:
-        raise ShapeMismatch(
-            f"expected {sorted_kept.size} values, got shape {vals.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise NonFiniteValue("values contain NaN or infinite entries")
+    vals = _as_signal(sorted_kept.size, values, "values")
     # Pair each value with its own index: reorder to the sorted kept set.
     vals = vals[np.argsort(np.ravel(kept), kind="stable")]
     if sorted_kept.size == G.N:
         return vals
-    return _extend(_extension(G.L, np.arange(G.N), sorted_kept,
-                              float(epsilon)), sorted_kept, vals)
+    return _extend(_extension(G.L, np.arange(G.N), sorted_kept, epsilon),
+                   sorted_kept, vals)
 
 
 @dataclass
@@ -476,17 +459,6 @@ def _smooth(mr: Multiresolution, level: int, x: np.ndarray) -> np.ndarray:
     return _level_solver(mr, level, "smooth").solve(rhs)[vertices]
 
 
-def _level_signal(n: int, x, label: str, size_error) -> np.ndarray:
-    """A finite 1-D signal of ``n`` entries; wrong lengths raise size_error."""
-    arr = np.asarray(x, dtype=float)
-    if arr.shape[:1] != (n,):
-        raise size_error(
-            f"{label} must have {n} entries, got shape {arr.shape}")
-    if arr.ndim != 1:
-        raise ShapeMismatch(f"{label} must be 1-D, got shape {arr.shape}")
-    return _as_signal(n, arr, label)
-
-
 def pyramid_analysis(mr: Multiresolution, f) -> Pyramid:
     """Decompose a signal into a coarse part plus per-level errors.
 
@@ -500,7 +472,7 @@ def pyramid_analysis(mr: Multiresolution, f) -> Pyramid:
         ShapeMismatch: ``f`` is not 1-D with one entry per vertex.
         NonFiniteValue: ``f`` holds NaN or infinite entries.
     """
-    current = _level_signal(mr.graphs[0].N, f, "signal", ShapeMismatch)
+    current = _as_1d_signal(mr.graphs[0].N, f)
     errors: List[np.ndarray] = []
     for level in range(mr.n_levels):
         kept = mr.keeps[level]
@@ -527,9 +499,9 @@ def pyramid_synthesis(mr: Multiresolution, pyr: Pyramid) -> np.ndarray:
         raise LevelMismatch(
             f"pyramid levels {pyr.level_sizes} do not match hierarchy "
             f"{sizes}")
-    current = _level_signal(sizes[-1], pyr.coarse, "coarse signal",
+    current = _as_1d_signal(sizes[-1], pyr.coarse, "coarse signal",
                             LevelMismatch)
-    errors = [_level_signal(sizes[level], err, f"error at level {level}",
+    errors = [_as_1d_signal(sizes[level], err, f"error at level {level}",
                             LevelMismatch)
               for level, err in enumerate(pyr.errors)]
     for level in range(mr.n_levels - 1, -1, -1):

@@ -21,7 +21,7 @@ from .exceptions import (
     MissingLmax,
     NonSymmetricLaplacian,
 )
-from .graphs import Graph, _as_signal
+from .graphs import Graph, _as_signal, _check_int
 
 #: Largest vertex count for which a dense eigendecomposition is attempted.
 DEFAULT_DENSE_CAP = 3000
@@ -216,12 +216,13 @@ def localize(G: Graph, kernel, i: int, order: int = 30) -> np.ndarray:
     filtering of the impulse (needs a spectral-radius bound).
 
     Raises:
+        BadParameter: ``i`` is not an integer.
         IndexOutOfRange: ``i`` is not a vertex.
         MissingFourierBasis: Neither basis nor spectral-radius bound exists.
     """
-    if not 0 <= int(i) < G.N:
+    i = _check_int("vertex index", i)
+    if not 0 <= i < G.N:
         raise IndexOutOfRange(f"vertex {i} outside [0, {G.N})")
-    i = int(i)
     root_n = np.sqrt(G.N)
     if G._spectral is not None:
         S = G._spectral
