@@ -19,7 +19,11 @@ nonzero response.  The translate designs (``itersine``, ``warped_translates``)
 have bands of about ``2 N`` columns in total, against ``len(bank) N`` for
 kernels of full support (``heat``, ``mexican_hat``, ``gabor``), which take one
 product for the whole bank.  That is for one signal column; on several
-columns all kernels share one product with the whole of ``U``.
+columns all kernels share one product with the whole of ``U``.  Such a
+product is not one pass over ``U`` whatever its width: its cost grows with
+the columns (with one BLAS thread at N=2000, ``U @ B`` for an ``N x 8``
+block took 3.6 to 3.8 times as long as ``U.T @ r``), so which side of that
+choice is faster on several columns is not settled.
 """
 
 from __future__ import annotations
@@ -119,6 +123,7 @@ def mexican_hat(G_or_lmax, n_scales: int = 6) -> FilterBank:
     spectrum.  The frame is snug but not tight.
     """
     lmax = _resolve_lmax(G_or_lmax)
+    n_scales = _check_int("n_scales", n_scales)
     if n_scales < 1:
         raise BadParameter(f"n_scales must be >= 1, got {n_scales}")
     t_min, t_max = 2.0 / lmax, 20.0 / lmax
@@ -130,7 +135,7 @@ def mexican_hat(G_or_lmax, n_scales: int = 6) -> FilterBank:
                               label=f"scale {j} (t={t:.4g})"))
     return FilterBank(kernels, lmax,
                       design={"kind": "mexican_hat", "lmax": lmax,
-                              "params": {"n_scales": int(n_scales)}})
+                              "params": {"n_scales": n_scales}})
 
 
 def _itersine_window(t: np.ndarray) -> np.ndarray:
@@ -170,12 +175,13 @@ def itersine(G_or_lmax, n_filters: int = 6) -> FilterBank:
     followed by synthesis is the identity.
     """
     lmax = _resolve_lmax(G_or_lmax)
+    n_filters = _check_int("n_filters", n_filters)
     if n_filters < 1:
         raise BadParameter(f"n_filters must be >= 1, got {n_filters}")
     kernels = _uniform_translate_kernels(n_filters, warp=None, lmax=lmax)
     return FilterBank(kernels, lmax,
                       design={"kind": "itersine", "lmax": lmax,
-                              "params": {"n_filters": int(n_filters)}})
+                              "params": {"n_filters": n_filters}})
 
 
 def regular_hp_lp(G_or_lmax, degree: int = 3) -> FilterBank:
@@ -187,6 +193,7 @@ def regular_hp_lp(G_or_lmax, degree: int = 3) -> FilterBank:
     half-cosine pair.
     """
     lmax = _resolve_lmax(G_or_lmax)
+    degree = _check_int("degree", degree)
     if degree < 0:
         raise BadParameter(f"degree must be >= 0, got {degree}")
 
@@ -202,7 +209,7 @@ def regular_hp_lp(G_or_lmax, degree: int = 3) -> FilterBank:
                 label="highpass")
     return FilterBank([lp, hp], lmax,
                       design={"kind": "regular", "lmax": lmax,
-                              "params": {"degree": int(degree)}})
+                              "params": {"degree": degree}})
 
 
 def gabor(G_or_lmax, n_shifts: int = 8, width: Optional[float] = None,
@@ -214,6 +221,7 @@ def gabor(G_or_lmax, n_shifts: int = 8, width: Optional[float] = None,
     translated instead, at the price of losing JSON serializability.
     """
     lmax = _resolve_lmax(G_or_lmax)
+    n_shifts = _check_int("n_shifts", n_shifts)
     if n_shifts < 1:
         raise BadParameter(f"n_shifts must be >= 1, got {n_shifts}")
     w = (_check_real("width", width, positive=True) if width is not None
@@ -225,7 +233,7 @@ def gabor(G_or_lmax, n_shifts: int = 8, width: Optional[float] = None,
                                                    ** 2)),
                           label=f"shift {c:.4g}")
         design = {"kind": "gabor", "lmax": lmax,
-                  "params": {"n_shifts": int(n_shifts), "width": w}}
+                  "params": {"n_shifts": n_shifts, "width": w}}
     else:
         def mk(c):
             return Kernel(lambda x, cc=c: mother(np.asarray(x) - cc),
@@ -297,6 +305,7 @@ def warped_translates(G: Graph, n_filters: int = 6) -> FilterBank:
     basis.  The warp knots are stored in the descriptor, so a saved bank
     reloads without the graph.
     """
+    n_filters = _check_int("n_filters", n_filters)
     if n_filters < 1:
         raise BadParameter(f"n_filters must be >= 1, got {n_filters}")
     S = get_spectral(G, "warped_translates")
@@ -359,7 +368,8 @@ def bank_from_descriptor(desc: dict) -> FilterBank:
         raise BadParameter(f"malformed filter descriptor: {desc!r}") from exc
     if kind == "warped_translates":
         return _warped_bank(params["knots_x"], params["knots_y"],
-                            int(params["n_filters"]), lmax)
+                            _check_int("n_filters", params["n_filters"]),
+                            lmax)
     if kind not in _DESIGNS:
         raise BadParameter(f"unknown filter design {kind!r} in descriptor")
     return _DESIGNS[kind](lmax, **params)
@@ -517,10 +527,12 @@ def _bank_operator(G: Graph, bank: FilterBank, method: str, order: int):
             k = X.shape[1] // len(bank) if adjoint else X.shape[1]
             # With one column per kernel the band products are matrix-vector
             # products, whose cost is the columns of U they read, so each
-            # band reads only its own.  A matrix product costs about one pass
-            # over U whatever its width, so with more columns one product
-            # with all of U serves every kernel.  The U[:, a:b] slices are
-            # views: a copy would cost up to two N x N blocks per application.
+            # band reads only its own.  With more columns one product with
+            # all of U serves every kernel; that product is compute-bound,
+            # not one pass over U (an N x 8 block cost 3.6-3.8x a vector at
+            # N=2000 with one BLAS thread), so this choice is unmeasured on
+            # several columns.  The U[:, a:b] slices are views: a copy would
+            # cost up to two N x N blocks per application.
             parts = bands if k == 1 else whole
             if adjoint:
                 blocks = X.reshape(G.N, len(bank), k)
@@ -611,11 +623,12 @@ def frame_bounds(bank: FilterBank, lmax: Optional[float] = None,
         BadParameter: ``lmax`` is not finite and positive.
         NonFiniteValue: An eigenvalue is NaN or infinite.
     """
+    grid_size = _check_int("grid_size", grid_size)
     if grid_size < 2:
         raise BadParameter(f"grid_size must be >= 2, got {grid_size}")
     lmax = _check_real("lmax", bank.lmax if lmax is None else lmax,
                        positive=True)
-    x = np.linspace(0.0, lmax, int(grid_size))
+    x = np.linspace(0.0, lmax, grid_size)
     if eigenvalues is not None:
         eigs = np.asarray(eigenvalues, dtype=float).ravel()
         if not np.all(np.isfinite(eigs)):

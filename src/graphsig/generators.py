@@ -22,7 +22,7 @@ from .exceptions import (
     PatchLargerThanImage,
     SizeTooSmall,
 )
-from .graphs import Graph, _check_real, graph_from_weights
+from .graphs import Graph, _check_int, _check_real, graph_from_weights
 
 
 def _undirected(rows, cols, vals, n, **kwargs) -> Graph:
@@ -220,6 +220,7 @@ def swiss_roll(n: int, seed: int = 0, noise: float = 0.0, k: int = 5) -> Graph:
     """
     if n < 2:
         raise SizeTooSmall(f"swiss_roll needs at least 2 vertices, got {n}")
+    noise = _check_real("noise", noise)
     rng = np.random.default_rng(seed)
     t = 1.5 * np.pi * (1.0 + 2.0 * rng.random(n))
     height = rng.random(n)
@@ -238,6 +239,7 @@ def two_moons(n: int, seed: int = 0, noise: float = 0.05,
     if n < 2:
         raise SizeTooSmall(f"two_moons needs at least 2 vertices, got {n}")
     radius = _check_real("radius", radius, positive=True)
+    noise = _check_real("noise", noise)
     rng = np.random.default_rng(seed)
     n_top = n // 2
     n_bot = n - n_top
@@ -261,6 +263,7 @@ def two_moons(n: int, seed: int = 0, noise: float = 0.05,
 def _gaussian_knn_edges(features: np.ndarray, k: int, sigma: Optional[float]):
     """kNN edge list with Gaussian weights; returns (rows, cols, vals, sigma)."""
     m = features.shape[0]
+    k = _check_int("k", k)
     if k < 1:
         raise BadParameter(f"k must be >= 1, got {k}")
     if k >= m:
@@ -320,7 +323,7 @@ def nn_graph(points, k: Optional[int] = None, epsilon: Optional[float] = None,
     m = pts.shape[0]
 
     if k is not None:
-        rows, cols, vals, used_sigma = _gaussian_knn_edges(pts, int(k), sigma)
+        rows, cols, vals, used_sigma = _gaussian_knn_edges(pts, k, sigma)
         W = sp.coo_array((vals, (rows, cols)), shape=(m, m)).tocsr()
         W = W.maximum(W.T)
     else:
@@ -407,7 +410,7 @@ def patch_graph(image, patch_size: int = 5, k: int = 10,
                                  scale * cc.ravel(), scale * rr.ravel()])
 
     rows, cols, vals, used_sigma = _gaussian_knn_edges(
-        np.ascontiguousarray(feats), int(k), sigma)
+        np.ascontiguousarray(feats), k, sigma)
     W = sp.coo_array((vals, (rows, cols)), shape=(h * w, h * w)).tocsr()
     W = W.maximum(W.T)
     coords = np.column_stack([cc.ravel().astype(float),

@@ -14,7 +14,7 @@ import numpy as np
 
 from .exceptions import BadParameter, MissingCoordinates
 from .filters import FilterBank
-from .graphs import Graph, _as_1d_signal, _check_real
+from .graphs import Graph, _as_1d_signal, _check_int, _check_real
 from .operators import incidence
 
 #: Perceptually ordered dark-to-bright map used for vertex colors.
@@ -58,6 +58,8 @@ class PlotStyle:
     font_size: int = 12
 
     def __post_init__(self):
+        self.width = _check_int("width", self.width)
+        self.height = _check_int("height", self.height)
         if self.width < 50 or self.height < 50:
             raise BadParameter("figure must be at least 50x50 pixels")
         _check_real("vertex_radius", self.vertex_radius, positive=True)
@@ -233,12 +235,13 @@ def export_filter_svg(bank: FilterBank, lmax: Optional[float] = None,
         style: Optional :class:`PlotStyle`.
         path: Optional output file path.
     """
+    grid_size = _check_int("grid_size", grid_size)
     if grid_size < 2:
         raise BadParameter(f"grid_size must be >= 2, got {grid_size}")
     st = style or PlotStyle(width=720, height=420)
     lm = _check_real("lmax", bank.lmax if lmax is None else lmax,
                      positive=True)
-    x = np.linspace(0.0, lm, int(grid_size))
+    x = np.linspace(0.0, lm, grid_size)
     curves = bank.evaluate(x)
     total = (curves ** 2).sum(axis=0)
     ymax = max(1.0, float(curves.max()), float(total.max())) * 1.05

@@ -108,6 +108,60 @@ class TestCounts:
                               gs.localize(G, lambda x: np.exp(-x), 2))
 
 
+def _reload_warped(n_filters):
+    desc = gs.warped_translates(_ring(), 3).design
+    desc["params"]["n_filters"] = n_filters
+    return gs.bank_from_descriptor(desc)
+
+
+#: Every count that used to be truncated or to raise a bare ``TypeError``,
+#: as a call taking the value, and the smallest value that must stay
+#: accepted.
+COUNT_PARAMETERS = {
+    "nn_graph-k": (lambda v: gs.nn_graph(POINTS, k=v), 1),
+    "patch_graph-k": (lambda v: gs.patch_graph(IMAGE, 3, k=v), 1),
+    "frame_bounds-grid_size": (
+        lambda v: gs.frame_bounds(gs.itersine(4.0, 4), grid_size=v), 2),
+    "export_filter_svg-grid_size": (
+        lambda v: gs.export_filter_svg(gs.itersine(4.0, 4), grid_size=v), 2),
+    "regular_hp_lp-degree": (lambda v: gs.regular_hp_lp(4.0, v), 0),
+    "mexican_hat-n_scales": (lambda v: gs.mexican_hat(4.0, v), 1),
+    "itersine-n_filters": (lambda v: gs.itersine(4.0, v), 1),
+    "gabor-n_shifts": (lambda v: gs.gabor(4.0, v), 1),
+    "warped_translates-n_filters": (
+        lambda v: gs.warped_translates(_ring(), v), 1),
+    "bank_from_descriptor-n_filters": (_reload_warped, 1),
+    "PlotStyle-width": (lambda v: gs.PlotStyle(width=v), 50),
+    "PlotStyle-height": (lambda v: gs.PlotStyle(height=v), 50),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_PARAMETERS))
+def test_count_parameter_must_be_an_integer(name):
+    call, smallest = COUNT_PARAMETERS[name]
+    for bad in (smallest + 1.5, float(smallest + 1), True, np.nan):
+        with pytest.raises(exc.BadParameter):
+            call(bad)
+    call(smallest)
+    call(np.int64(smallest))
+
+
+def test_design_descriptors_store_python_ints():
+    bank = gs.itersine(4.0, np.int32(3))
+    assert type(bank.design["params"]["n_filters"]) is int
+    assert gs.bank_from_descriptor(bank.design).design == bank.design
+
+
+@pytest.mark.parametrize("generator", [gs.two_moons, gs.swiss_roll])
+def test_generator_noise_must_be_finite_and_nonnegative(generator):
+    # A negative noise used to be read as no noise.
+    for bad in (np.nan, np.inf, -1.0, "0.1"):
+        with pytest.raises(exc.BadParameter):
+            generator(30, noise=bad)
+    assert generator(30, noise=0).N == 30
+    assert generator(30, noise=np.float64(0.01)).N == 30
+
+
 def test_frame_bounds_refuses_non_finite_eigenvalues():
     bank = gs.itersine(4.0, 4)
     for eigs in ([np.nan], [1.0, np.inf]):

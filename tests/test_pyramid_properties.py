@@ -5,8 +5,8 @@ Random small sensor graphs; every level of a pyramid must be a Schur
 complement, rebuilding from stored keeps must repeat the reduction exactly,
 interpolation must agree with the dense Green's-function fit, each level's
 smoothing and extension must agree with dense formulas on that level's Schur
-complement, and the bound helper must never fall below the true top
-eigenvalue.
+complement, every pyramid LU must take its pivots on the diagonal, and the
+bound helper must never fall below the true top eigenvalue.
 """
 
 from unittest import mock
@@ -153,6 +153,39 @@ def test_level_operators_match_dense_schur_levels(chain, alpha, epsilon):
         assert_allclose(pyramid._extend(ext, kept, vals), extended, rtol=0,
                         atol=1e-10 * np.abs(extended).max())
         vertices = vertices[kept]
+
+
+@PROPERTY_SETTINGS
+@given(keep_chains(),
+       st.one_of(st.just(0.0), st.floats(0.0, 1e-8, exclude_min=True),
+                 st.floats(1e-8, 50.0)),
+       st.floats(1e-6, 0.5))
+def test_pyramid_lus_never_pivot_off_the_diagonal(chain, alpha, epsilon):
+    # Every system is diagonally dominant by rows, so elimination takes the
+    # diagonal pivot in the symmetric order: the row permutation equals the
+    # column permutation.  Counting eigenvalues by the inertia of a factor
+    # rests on the same premise.
+    G, keeps, rng = chain
+    factored = []
+
+    def splu(*args, **kwargs):
+        lu = real(*args, **kwargs)
+        factored.append(lu)
+        return lu
+
+    real = pyramid._splu
+    with mock.patch.object(pyramid, "_splu", splu):
+        mr = gs.multiresolution_from_keeps(G, keeps, alpha=alpha,
+                                           epsilon=epsilon)
+        for level in range(mr.n_levels):
+            pyramid._level_solver(mr, level, "smooth")
+            pyramid._level_solver(mr, level, "extend")
+        kept = np.sort(rng.choice(G.N, size=rng.integers(1, G.N),
+                                  replace=False))
+        gs.interpolate(G, kept, np.ones(kept.size), epsilon=epsilon)
+    assert len(factored) == 2 * mr.n_levels + 1
+    for lu in factored:
+        assert np.array_equal(lu.perm_r, lu.perm_c)
 
 
 @PROPERTY_SETTINGS
