@@ -3,6 +3,14 @@
 All random families take a ``seed`` and draw every sample from
 ``numpy.random.default_rng(seed)``; the same seed therefore reproduces the
 same graph bit for bit, and no global random state is touched.
+
+Sizes and probabilities are refused with their own error types: a vertex
+count (``n``, ``rows``, ``cols``, ``star_degree``) that is not an integer of
+at least the family's minimum raises ``SizeTooSmall``, and an edge
+probability that is not a real number in [0, 1] raises ``BadProbability``.
+Other counts (``k``, ``patch_size``, block sizes, ``n_communities``,
+``tail_length``) and real parameters raise ``BadParameter``.  A float is
+never truncated and a bool never read as a number.
 """
 
 from __future__ import annotations
@@ -38,8 +46,7 @@ def _undirected(rows, cols, vals, n, **kwargs) -> Graph:
 
 def ring(n: int) -> Graph:
     """Cycle on ``n >= 3`` vertices, unit weights, vertices on the unit circle."""
-    if n < 3:
-        raise SizeTooSmall(f"ring needs at least 3 vertices, got {n}")
+    n = _check_int("n", n, minimum=3, error=SizeTooSmall)
     i = np.arange(n)
     theta = 2.0 * np.pi * i / n
     coords = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -49,8 +56,7 @@ def ring(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     """Path on ``n >= 2`` vertices laid out on the x axis."""
-    if n < 2:
-        raise SizeTooSmall(f"path needs at least 2 vertices, got {n}")
+    n = _check_int("n", n, minimum=2, error=SizeTooSmall)
     i = np.arange(n - 1)
     coords = np.column_stack([np.arange(n, dtype=float), np.zeros(n)])
     return _undirected(i, i + 1, np.ones(n - 1), n,
@@ -63,13 +69,10 @@ def comet(tail_length: int, star_degree: int) -> Graph:
     Vertex 0 is the center, vertices ``1..star_degree`` are the leaves, and
     the remaining vertices form the tail, walking away from the center.
     """
-    if star_degree < 1:
-        raise SizeTooSmall("comet needs star_degree >= 1")
-    if tail_length < 0:
-        raise BadParameter("comet tail_length must be >= 0")
+    star_degree = _check_int("star_degree", star_degree, minimum=1,
+                             error=SizeTooSmall)
+    tail_length = _check_int("tail_length", tail_length, minimum=0)
     n = 1 + star_degree + tail_length
-    if n < 2:
-        raise SizeTooSmall("comet needs at least 2 vertices")
     rows = [np.zeros(star_degree, dtype=int)]
     cols = [np.arange(1, star_degree + 1)]
     if tail_length:
@@ -93,7 +96,9 @@ def comet(tail_length: int, star_degree: int) -> Graph:
 
 def grid2d(rows: int, cols: int) -> Graph:
     """Four-connected ``rows x cols`` lattice with unit weights."""
-    if rows < 1 or cols < 1 or rows * cols < 2:
+    rows = _check_int("rows", rows, minimum=1, error=SizeTooSmall)
+    cols = _check_int("cols", cols, minimum=1, error=SizeTooSmall)
+    if rows * cols < 2:
         raise SizeTooSmall(f"grid2d needs at least 2 vertices, got "
                            f"{rows}x{cols}")
     idx = np.arange(rows * cols).reshape(rows, cols)
@@ -117,18 +122,10 @@ def grid2d(rows: int, cols: int) -> Graph:
 # Random families
 # ---------------------------------------------------------------------------
 
-def _check_probability(p: float, label: str) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise BadProbability(f"{label} must lie in [0, 1], got {p}")
-    return p
-
-
 def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     """G(n, p): each of the n(n-1)/2 possible edges present with probability p."""
-    if n < 2:
-        raise SizeTooSmall(f"erdos_renyi needs at least 2 vertices, got {n}")
-    p = _check_probability(p, "edge probability")
+    n = _check_int("n", n, minimum=2, error=SizeTooSmall)
+    p = _check_real("p", p, maximum=1.0, error=BadProbability)
     rng = np.random.default_rng(seed)
     rows, cols = np.triu_indices(n, k=1)
     mask = rng.random(rows.size) < p
@@ -148,20 +145,24 @@ def sbm(block_sizes, p_in: float, p_out: float, seed: int = 0,
         n: Optional total vertex count; must equal ``sum(block_sizes)``.
 
     Raises:
+        BadParameter: A block size is not an integer ``>= 1``, or ``n`` is
+            not an integer.
         BlockSizeMismatch: If ``n`` is given and disagrees with the sizes.
         BadProbability: If either probability is outside [0, 1].
     """
-    sizes = [int(s) for s in block_sizes]
-    if not sizes or any(s <= 0 for s in sizes):
-        raise BadParameter(f"block sizes must be positive, got {sizes}")
+    sizes = [_check_int("block size", s, minimum=1)
+             for s in (block_sizes if np.iterable(block_sizes) else [])]
+    if not sizes:
+        raise BadParameter(
+            f"block sizes must be a nonempty sequence, got {block_sizes!r}")
     total = sum(sizes)
-    if n is not None and n != total:
+    if n is not None and _check_int("n", n) != total:
         raise BlockSizeMismatch(
             f"block sizes sum to {total}, but n={n} was requested")
     if total < 2:
         raise SizeTooSmall("sbm needs at least 2 vertices")
-    p_in = _check_probability(p_in, "p_in")
-    p_out = _check_probability(p_out, "p_out")
+    p_in = _check_real("p_in", p_in, maximum=1.0, error=BadProbability)
+    p_out = _check_real("p_out", p_out, maximum=1.0, error=BadProbability)
     labels = np.repeat(np.arange(len(sizes)), sizes)
     rng = np.random.default_rng(seed)
     rows, cols = np.triu_indices(total, k=1)
@@ -186,10 +187,8 @@ def community(n: int, n_communities: int = 4, seed: int = 0,
     by at most one, wired with probability ``p_in`` inside a block and
     ``p_out`` across blocks.
     """
-    if n_communities < 1:
-        raise BadParameter("need at least one community")
-    if n < 2:
-        raise SizeTooSmall(f"community needs at least 2 vertices, got {n}")
+    n = _check_int("n", n, minimum=2, error=SizeTooSmall)
+    n_communities = _check_int("n_communities", n_communities, minimum=1)
     if n_communities > n:
         raise BadParameter(
             f"cannot split {n} vertices into {n_communities} communities")
@@ -203,13 +202,10 @@ def community(n: int, n_communities: int = 4, seed: int = 0,
 
 def sensor(n: int, seed: int = 0, k: int = 6) -> Graph:
     """Random sensor network: uniform points in the unit square, kNN edges."""
-    if n < 2:
-        raise SizeTooSmall(f"sensor needs at least 2 vertices, got {n}")
+    n = _check_int("n", n, minimum=2, error=SizeTooSmall)
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
-    G = nn_graph(pts, k=min(k, n - 1))
-    G.name = f"sensor({n})"
-    return G
+    return nn_graph(pts, k=min(k, n - 1), name=f"sensor({n})")
 
 
 def swiss_roll(n: int, seed: int = 0, noise: float = 0.0, k: int = 5) -> Graph:
@@ -218,8 +214,7 @@ def swiss_roll(n: int, seed: int = 0, noise: float = 0.0, k: int = 5) -> Graph:
     The roll winds through 1.5 turns; ``noise`` is the standard deviation of
     Gaussian jitter added after rescaling.
     """
-    if n < 2:
-        raise SizeTooSmall(f"swiss_roll needs at least 2 vertices, got {n}")
+    n = _check_int("n", n, minimum=2, error=SizeTooSmall)
     noise = _check_real("noise", noise)
     rng = np.random.default_rng(seed)
     t = 1.5 * np.pi * (1.0 + 2.0 * rng.random(n))
@@ -228,16 +223,13 @@ def swiss_roll(n: int, seed: int = 0, noise: float = 0.0, k: int = 5) -> Graph:
     pts /= np.max(np.linalg.norm(pts, axis=1))
     if noise > 0:
         pts = pts + noise * rng.standard_normal(pts.shape)
-    G = nn_graph(pts, k=min(k, n - 1))
-    G.name = f"swiss_roll({n})"
-    return G
+    return nn_graph(pts, k=min(k, n - 1), name=f"swiss_roll({n})")
 
 
 def two_moons(n: int, seed: int = 0, noise: float = 0.05,
               radius: float = 1.0, k: int = 5) -> Graph:
     """Two interleaved half circles with Gaussian jitter, connected by kNN."""
-    if n < 2:
-        raise SizeTooSmall(f"two_moons needs at least 2 vertices, got {n}")
+    n = _check_int("n", n, minimum=2, error=SizeTooSmall)
     radius = _check_real("radius", radius, positive=True)
     noise = _check_real("noise", noise)
     rng = np.random.default_rng(seed)
@@ -251,47 +243,37 @@ def two_moons(n: int, seed: int = 0, noise: float = 0.05,
     pts = np.vstack([top, bot])
     if noise > 0:
         pts = pts + noise * rng.standard_normal(pts.shape)
-    G = nn_graph(pts, k=min(k, n - 1))
-    G.name = f"two_moons({n})"
-    return G
+    return nn_graph(pts, k=min(k, n - 1), name=f"two_moons({n})")
 
 
 # ---------------------------------------------------------------------------
 # Point clouds and images
 # ---------------------------------------------------------------------------
 
-def _gaussian_knn_edges(features: np.ndarray, k: int, sigma: Optional[float]):
-    """kNN edge list with Gaussian weights; returns (rows, cols, vals, sigma)."""
+def _knn_weights(features: np.ndarray, k: int, sigma: Optional[float]):
+    """Symmetrized kNN weights ``exp(-dist^2 / sigma^2)``; returns
+    ``(W, sigma)``, with ``sigma`` inferred when ``None``."""
     m = features.shape[0]
-    k = _check_int("k", k)
-    if k < 1:
-        raise BadParameter(f"k must be >= 1, got {k}")
+    k = _check_int("k", k, minimum=1)
     if k >= m:
         raise KTooLarge(f"k={k} but there are only {m - 1} other points")
-    tree = cKDTree(features)
-    dist, idx = tree.query(features, k=k + 1)
-    rows, cols, dists = [], [], []
-    for i in range(m):
-        nbrs = idx[i]
-        dd = dist[i]
-        keep = nbrs != i
-        nbrs, dd = nbrs[keep][:k], dd[keep][:k]
-        rows.append(np.full(nbrs.size, i))
-        cols.append(nbrs)
-        dists.append(dd)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    dists = np.concatenate(dists)
+    dist, idx = cKDTree(features).query(features, k=k + 1)
+    # Drop each point's self-match.  Among repeated points the query may not
+    # return the point itself; such a row drops its farthest neighbour.
+    keep = idx != np.arange(m)[:, None]
+    keep[keep.all(axis=1), -1] = False
+    cols, dists = idx[keep], dist[keep]
     if sigma is None:
         # Width from the data: mean distance to the k-th neighbour.  Every
-        # row contributed exactly k entries, so the reshape is safe.
-        kth = dists.reshape(m, k)[:, -1]
-        sigma = float(kth.mean())
+        # row keeps exactly k entries, so the reshape is safe.
+        sigma = float(dists.reshape(m, k)[:, -1].mean())
         if sigma <= 0:
             raise DegenerateCloud(
                 "all neighbour distances are zero; give sigma explicitly")
     vals = np.exp(-(dists / sigma) ** 2)
-    return rows, cols, vals, float(sigma)
+    W = sp.coo_array((vals, (np.repeat(np.arange(m), k), cols)),
+                     shape=(m, m)).tocsr()
+    return W.maximum(W.T), float(sigma)
 
 
 def nn_graph(points, k: Optional[int] = None, epsilon: Optional[float] = None,
@@ -323,9 +305,7 @@ def nn_graph(points, k: Optional[int] = None, epsilon: Optional[float] = None,
     m = pts.shape[0]
 
     if k is not None:
-        rows, cols, vals, used_sigma = _gaussian_knn_edges(pts, k, sigma)
-        W = sp.coo_array((vals, (rows, cols)), shape=(m, m)).tocsr()
-        W = W.maximum(W.T)
+        W, used_sigma = _knn_weights(pts, k, sigma)
     else:
         epsilon = _check_real("epsilon", epsilon, positive=True)
         tree = cKDTree(pts)
@@ -387,7 +367,8 @@ def patch_graph(image, patch_size: int = 5, k: int = 10,
     if img.ndim != 3:
         raise BadParameter(f"image must be 2-D or 3-D, got shape {img.shape}")
     h, w, ch = img.shape
-    if patch_size < 1 or patch_size % 2 == 0:
+    patch_size = _check_int("patch_size", patch_size, minimum=1)
+    if patch_size % 2 == 0:
         raise BadParameter(f"patch_size must be odd and >= 1, got {patch_size}")
     if patch_size > h or patch_size > w:
         raise PatchLargerThanImage(
@@ -409,10 +390,7 @@ def patch_graph(image, patch_size: int = 5, k: int = 10,
         feats = np.column_stack([feats,
                                  scale * cc.ravel(), scale * rr.ravel()])
 
-    rows, cols, vals, used_sigma = _gaussian_knn_edges(
-        np.ascontiguousarray(feats), k, sigma)
-    W = sp.coo_array((vals, (rows, cols)), shape=(h * w, h * w)).tocsr()
-    W = W.maximum(W.T)
+    W, used_sigma = _knn_weights(np.ascontiguousarray(feats), k, sigma)
     coords = np.column_stack([cc.ravel().astype(float),
                               (h - 1 - rr).ravel().astype(float)])
     G = graph_from_weights(W, directed=False, coords=coords,

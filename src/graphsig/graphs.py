@@ -267,23 +267,32 @@ def _as_1d_signal(n: int, x, label: str = "signal",
     return _as_signal(n, arr, label)
 
 
-def _check_real(name: str, value, positive: bool = False) -> float:
-    """``value`` as a float; ``BadParameter`` unless it is a finite real
-    number ``>= 0`` (``> 0`` with ``positive``).  NaN fails every
-    comparison, so the test lets good values in rather than bad ones out."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value)
-            and (value > 0 if positive else value >= 0)):
-        raise BadParameter(f"{name} must be "
-                           f"{'positive' if positive else '>= 0'} and "
-                           f"finite, got {value!r}")
+def _check_real(name: str, value, positive: bool = False,
+                maximum: Optional[float] = None,
+                error=BadParameter) -> float:
+    """``value`` as a float; ``error`` unless it is a finite real number
+    ``>= 0`` (``> 0`` with ``positive``), at most ``maximum`` when given,
+    and not a bool.  NaN fails every comparison, so the test lets good
+    values in rather than bad ones out."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)
+            and (value > 0 if positive else value >= 0)
+            and (maximum is None or value <= maximum)):
+        raise error(f"{name} must be {'positive' if positive else '>= 0'}"
+                    f"{'' if maximum is None else f', <= {maximum:g}'} and "
+                    f"finite, got {value!r}")
     return float(value)
 
 
-def _check_int(name: str, value) -> int:
-    """``value`` as an int; ``BadParameter`` unless it is a Python or numpy
-    integer, since a cast would truncate a float and read a bool as 0/1."""
+def _check_int(name: str, value, minimum: Optional[int] = None,
+               error=BadParameter) -> int:
+    """``value`` as an int; ``error`` unless it is a Python or numpy integer
+    (a cast would truncate a float and read a bool as 0/1) and at least
+    ``minimum`` when given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise BadParameter(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
 

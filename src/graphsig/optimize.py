@@ -2,7 +2,9 @@
 
 Every solver returns ``(solution, SolverReport)``.  Hitting the iteration cap
 is not an exception — the best iterate comes back with ``converged=False`` so
-batch pipelines can keep going and inspect the report.
+batch pipelines can keep going and inspect the report.  A ``tol`` must be
+finite and ``>= 0`` and a ``max_iter`` an integer ``>= 0`` (for
+:func:`tik_denoise`, ``> 0`` and ``>= 1``), or ``BadParameter`` is raised.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .exceptions import BadParameter, NotTightFrame, ShapeMismatch, SolverFailur
 # filter_analysis and filter_synthesis stay importable from this module.
 from .filters import (FilterBank, _bank_operator, _squeezed,  # noqa: F401
                       filter_analysis, filter_synthesis, frame_bounds)
-from .graphs import Graph, _as_1d_signal, _as_signal, _check_real
+from .graphs import Graph, _as_1d_signal, _as_signal, _check_int, _check_real
 from .operators import incidence
 from .spectral import _lmax_bound, get_lmax
 
@@ -95,6 +97,8 @@ def prox_tv(G: Graph, y, gamma: float, max_iter: int = 1000,
         relative duality gap.
     """
     gamma = _check_real("gamma", gamma)
+    max_iter = _check_int("max_iter", max_iter, minimum=0)
+    tol = _check_real("tol", tol)
     arr, was_1d = _as_signal(G, y).reshape(G.N, -1), np.ndim(y) == 1
     op = incidence(G)
     D = op.D
@@ -167,8 +171,19 @@ def tik_denoise(G: Graph, y, gamma: float, tol: float = 1e-10,
     Returns:
         ``(x, SolverReport)``; the report's ``residual`` is the worst
         relative linear residual over the columns.
+
+    Raises:
+        BadParameter: ``gamma`` is negative or not finite, ``tol`` is not
+            positive and finite, or ``max_iter`` is given and is not an
+            integer ``>= 1``.
+        SolverFailure: Conjugate gradients broke down.
     """
     gamma = _check_real("gamma", gamma)
+    # Not 0: scipy's cg then iterates past an exact solution into 0 / 0.
+    tol = _check_real("tol", tol, positive=True)
+    if max_iter is not None:
+        # Not 0: scipy's cg reports success after zero iterations.
+        max_iter = _check_int("max_iter", max_iter, minimum=1)
     arr, was_1d = _as_signal(G, y).reshape(G.N, -1), np.ndim(y) == 1
     if gamma == 0:
         x = arr.copy()
@@ -200,7 +215,7 @@ def tik_denoise(G: Graph, y, gamma: float, tol: float = 1e-10,
 
         xj, info = spl.cg(A, b, rtol=tol, atol=0.0, maxiter=max_iter,
                           callback=callback)
-        if info < 0:
+        if info < 0 or not np.all(np.isfinite(xj)):
             raise SolverFailure(f"conjugate gradient broke down (info={info})")
         out[:, j] = xj
         total_iters += count[0]
@@ -302,6 +317,8 @@ def _solve_bpdn(G: Graph, bank: FilterBank, y, lam: float, mask,
     synthesis is the one the solver already holds, shaped as
     :func:`graphsig.filters.filter_synthesis` returns it."""
     lam = _check_real("lam", lam)
+    max_iter = _check_int("max_iter", max_iter, minimum=0)
+    tol = _check_real("tol", tol)
     arr = _as_signal(G, y).reshape(G.N, -1)
     m = None
     if mask is not None:

@@ -55,15 +55,14 @@ class PlotStyle:
     edge_width: float = 1.0
     colormap: str = "viridis"
     background: str = "#ffffff"
-    font_size: int = 12
+    font_size: float = 12
 
     def __post_init__(self):
-        self.width = _check_int("width", self.width)
-        self.height = _check_int("height", self.height)
-        if self.width < 50 or self.height < 50:
-            raise BadParameter("figure must be at least 50x50 pixels")
+        self.width = _check_int("width", self.width, minimum=50)
+        self.height = _check_int("height", self.height, minimum=50)
         _check_real("vertex_radius", self.vertex_radius, positive=True)
         _check_real("edge_width", self.edge_width, positive=True)
+        _check_real("font_size", self.font_size, positive=True)
 
     @classmethod
     def for_graph(cls, G: Graph) -> "PlotStyle":
@@ -235,9 +234,7 @@ def export_filter_svg(bank: FilterBank, lmax: Optional[float] = None,
         style: Optional :class:`PlotStyle`.
         path: Optional output file path.
     """
-    grid_size = _check_int("grid_size", grid_size)
-    if grid_size < 2:
-        raise BadParameter(f"grid_size must be >= 2, got {grid_size}")
+    grid_size = _check_int("grid_size", grid_size, minimum=2)
     st = style or PlotStyle(width=720, height=420)
     lm = _check_real("lmax", bank.lmax if lmax is None else lmax,
                      positive=True)

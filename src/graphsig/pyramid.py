@@ -41,7 +41,9 @@ from .graphs import (Graph, LaplacianKind, _as_1d_signal, _as_signal,
 from .spectral import _fix_signs, _lanczos_start
 
 #: Off-diagonal entries of a reduced Laplacian in (0, +CLAMP] are treated as
-#: elimination roundoff and zeroed; anything larger is a genuine error.
+#: elimination roundoff and zeroed by :func:`kron_reduce`.  Nothing raises on
+#: a larger positive entry: it stays in ``kron_reduce``'s output, and
+#: :func:`_laplacian_to_weights` leaves it out of the level graph.
 POSITIVE_OFFDIAG_CLAMP = 1e-10
 
 
@@ -309,9 +311,7 @@ def graph_multiresolution(G: Graph, n_levels: int, alpha: float = 1.0,
             would shrink below two vertices.
         GraphSigError: What :class:`Multiresolution` refuses.
     """
-    n_levels = _check_int("n_levels", n_levels)
-    if n_levels < 0:
-        raise BadParameter(f"n_levels must be >= 0, got {n_levels}")
+    n_levels = _check_int("n_levels", n_levels, minimum=0)
     mr = Multiresolution([G], [], alpha, epsilon)
     for level in range(n_levels):
         current = mr.graphs[level]

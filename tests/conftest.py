@@ -1,9 +1,17 @@
 """Shared fixtures: small graphs reused across test modules."""
 
+import os
+
 import numpy as np
 import pytest
 
 import graphsig as gs
+
+# pytest finds the package through ``pythonpath`` in pyproject.toml; the
+# ``python -m graphsig`` subprocesses of the CLI tests need it on their path.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(gs.__file__)),
+                  os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

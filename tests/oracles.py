@@ -157,3 +157,35 @@ def reference_bpdn(analysis, synthesis, y, lam, step, mask=None,
         if change <= tol:
             break
     return c, history, f_prev, it
+
+
+def loop_knn_weights(features, k, sigma=None):
+    """Symmetrized Gaussian kNN weights built one vertex at a time:
+    ``(W, sigma)`` as :func:`graphsig.nn_graph` builds them.
+
+    Each row takes the ``k + 1`` nearest matches, drops the point itself and
+    keeps the first ``k`` left, so a row whose query missed the point (it
+    has repeats) drops its farthest match instead.  ``W`` is ``None`` when
+    the inferred ``sigma`` is zero.
+    """
+    import scipy.sparse as sp
+    from scipy.spatial import cKDTree
+
+    pts = np.asarray(features, dtype=float)
+    m = pts.shape[0]
+    dist, idx = cKDTree(pts).query(pts, k=k + 1)
+    rows, cols, dists = [], [], []
+    for i in range(m):
+        keep = idx[i] != i
+        nbrs, dd = idx[i][keep][:k], dist[i][keep][:k]
+        rows.append(np.full(nbrs.size, i))
+        cols.append(nbrs)
+        dists.append(dd)
+    rows, cols, dists = map(np.concatenate, (rows, cols, dists))
+    if sigma is None:
+        sigma = float(dists.reshape(m, k)[:, -1].mean())
+        if sigma <= 0:
+            return None, sigma
+    vals = np.exp(-(dists / sigma) ** 2)
+    W = sp.coo_array((vals, (rows, cols)), shape=(m, m)).tocsr()
+    return W.maximum(W.T), float(sigma)

@@ -250,6 +250,14 @@ class TestDenoise:
                    "--design", "mexican_hat", "--tau", 0.1,
                    "--method", "exact") == 2
 
+    @pytest.mark.parametrize("solver", ["tv", "bpdn"])
+    def test_non_finite_tol_is_exit_2(self, sensor_files, solver):
+        tmp, gpath, spath = sensor_files
+        assert run("denoise", gpath, "--signal", spath,
+                   "--out", tmp / "t.csv", "--solver", solver,
+                   "--tol", "nan") == 2
+        assert not (tmp / "t.csv").exists()
+
     def test_bpdn_with_mask_and_coefficients(self, sensor_files):
         tmp, gpath, spath = sensor_files
         mask = np.ones(40)

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import graphsig as gs
 from graphsig import exceptions as exc
 
-from oracles import brute_force_knn
+from oracles import brute_force_knn, loop_knn_weights
 
 
 def same_graph(G1, G2):
@@ -150,6 +152,26 @@ class TestNNGraph:
         ref = np.maximum(ref, ref.T)
         assert_allclose(G.W.toarray(), ref, atol=1e-12)
         assert abs(G.plotting["sigma"] - sigma) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 40),
+           st.integers(1, 3), st.booleans())
+    def test_knn_equals_the_per_vertex_loop(self, seed, m, dim, given_sigma):
+        # Few distinct points on a coarse grid: many repeats and ties, so
+        # some queries miss the point itself.
+        rng = np.random.default_rng(seed)
+        distinct = np.round(4 * rng.random((rng.integers(1, m + 1), dim))) / 4
+        pts = distinct[rng.integers(0, len(distinct), m)]
+        k = int(rng.integers(1, m))
+        sigma = 0.3 if given_sigma else None
+        W, ref_sigma = loop_knn_weights(pts, k, sigma)
+        if ref_sigma <= 0:
+            with pytest.raises(exc.DegenerateCloud):
+                gs.nn_graph(pts, k=k, sigma=sigma)
+            return
+        G = gs.nn_graph(pts, k=k, sigma=sigma)
+        assert np.array_equal(G.W.toarray(), W.toarray())
+        assert G.plotting["sigma"] == ref_sigma
 
     def test_radius_mode_against_dense(self, rng):
         pts = rng.random((30, 2))

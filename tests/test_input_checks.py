@@ -19,7 +19,8 @@ IMAGE = np.arange(36.0).reshape(6, 6)
 
 #: Every real parameter with a range check, as a call taking the value, and
 #: the boundary value that must stay accepted: 0 for the ``>= 0``
-#: parameters, a small positive value for the positive ones.
+#: parameters, a small positive value for the positive ones.  A third entry
+#: names the error when it is not ``BadParameter``.
 REAL_PARAMETERS = {
     "heat-lmax": (lambda v: gs.heat(v), 1e-3),
     "heat-tau": (lambda v: gs.heat(2.0, tau=v), 0.0),
@@ -55,17 +56,56 @@ REAL_PARAMETERS = {
     "PlotStyle-edge_width": (lambda v: gs.PlotStyle(edge_width=v), 1e-3),
     "export_filter_svg-lmax": (
         lambda v: gs.export_filter_svg(gs.itersine(4.0, 4), lmax=v), 1e-3),
+    "PlotStyle-font_size": (lambda v: gs.PlotStyle(font_size=v), 1e-3),
+    "expwin-band": (lambda v: gs.expwin(2.0, band=v), 1e-3),
+    "erdos_renyi-p": (lambda v: gs.erdos_renyi(10, v), 0.0,
+                      exc.BadProbability),
+    "sbm-p_in": (lambda v: gs.sbm([3, 4], v, 0.1), 0.0, exc.BadProbability),
+    "sbm-p_out": (lambda v: gs.sbm([3, 4], 0.5, v), 0.0, exc.BadProbability),
+    "community-p_in": (lambda v: gs.community(12, 3, p_in=v), 0.0,
+                       exc.BadProbability),
+    "community-p_out": (lambda v: gs.community(12, 3, p_out=v), 0.0,
+                        exc.BadProbability),
+    "prox_tv-tol": (
+        lambda v: gs.prox_tv(_ring(), np.arange(8.0), 0.5, max_iter=20,
+                             tol=v), 0.0),
+    "tik_denoise-tol": (
+        lambda v: gs.tik_denoise(_ring(), np.arange(8.0), 0.5, tol=v),
+        1e-300),
+    "solve_bpdn-tol": (
+        lambda v: gs.solve_bpdn(_ring(), gs.itersine(4.0, 4),
+                                np.arange(8.0), max_iter=20, tol=v), 0.0),
 }
+
+#: The parameters of ``REAL_PARAMETERS`` that also have an upper bound, 1.
+FRACTIONS = ["community-p_in", "community-p_out", "erdos_renyi-p",
+             "expwin-band", "sbm-p_in", "sbm-p_out"]
+
+
+def _expected(table, name):
+    """A table entry's call, its accepted boundary and its error type."""
+    call, boundary, *error = table[name]
+    return call, boundary, error[0] if error else exc.BadParameter
 
 
 @pytest.mark.parametrize("name", sorted(REAL_PARAMETERS))
 def test_real_parameter_must_be_finite_and_in_range(name):
-    call, boundary = REAL_PARAMETERS[name]
-    for bad in (np.nan, np.inf, -np.inf, "1.0"):
-        with pytest.raises(exc.BadParameter):
+    call, boundary, error = _expected(REAL_PARAMETERS, name)
+    for bad in (np.nan, np.inf, -np.inf, "1.0", True, -1.0):
+        with pytest.raises(error):
             call(bad)
     call(boundary)
     call(np.float64(boundary))
+
+
+@pytest.mark.parametrize("name", FRACTIONS)
+def test_fraction_must_be_at_most_one(name):
+    call, _, error = _expected(REAL_PARAMETERS, name)
+    for bad in (1.0 + 1e-12, 2):
+        with pytest.raises(error):
+            call(bad)
+    call(1.0)
+    call(1)
 
 
 def test_multiresolution_validates_direct_construction():
@@ -114,9 +154,10 @@ def _reload_warped(n_filters):
     return gs.bank_from_descriptor(desc)
 
 
-#: Every count that used to be truncated or to raise a bare ``TypeError``,
-#: as a call taking the value, and the smallest value that must stay
-#: accepted.
+#: Every count that used to be truncated, read from a bool or to raise a
+#: bare ``TypeError``, as a call taking the value, and the smallest value
+#: that must stay accepted.  A third entry names the error when it is not
+#: ``BadParameter``.
 COUNT_PARAMETERS = {
     "nn_graph-k": (lambda v: gs.nn_graph(POINTS, k=v), 1),
     "patch_graph-k": (lambda v: gs.patch_graph(IMAGE, 3, k=v), 1),
@@ -133,17 +174,52 @@ COUNT_PARAMETERS = {
     "bank_from_descriptor-n_filters": (_reload_warped, 1),
     "PlotStyle-width": (lambda v: gs.PlotStyle(width=v), 50),
     "PlotStyle-height": (lambda v: gs.PlotStyle(height=v), 50),
+    "ring-n": (lambda v: gs.ring(v), 3, exc.SizeTooSmall),
+    "path-n": (lambda v: gs.path(v), 2, exc.SizeTooSmall),
+    "comet-star_degree": (lambda v: gs.comet(2, v), 1, exc.SizeTooSmall),
+    "comet-tail_length": (lambda v: gs.comet(v, 2), 0),
+    "grid2d-rows": (lambda v: gs.grid2d(v, 3), 1, exc.SizeTooSmall),
+    "grid2d-cols": (lambda v: gs.grid2d(3, v), 1, exc.SizeTooSmall),
+    "erdos_renyi-n": (lambda v: gs.erdos_renyi(v, 0.5), 2, exc.SizeTooSmall),
+    "sbm-block_size": (lambda v: gs.sbm([v, 4], 0.5, 0.1), 1),
+    "community-n": (lambda v: gs.community(v, 2), 2, exc.SizeTooSmall),
+    "community-n_communities": (lambda v: gs.community(12, v), 1),
+    "sensor-n": (lambda v: gs.sensor(v), 2, exc.SizeTooSmall),
+    "sensor-k": (lambda v: gs.sensor(12, k=v), 1),
+    "swiss_roll-n": (lambda v: gs.swiss_roll(v), 2, exc.SizeTooSmall),
+    "swiss_roll-k": (lambda v: gs.swiss_roll(12, k=v), 1),
+    "two_moons-n": (lambda v: gs.two_moons(v), 2, exc.SizeTooSmall),
+    "two_moons-k": (lambda v: gs.two_moons(12, k=v), 1),
+    "patch_graph-patch_size": (lambda v: gs.patch_graph(IMAGE, v, 3), 1),
+    "prox_tv-max_iter": (
+        lambda v: gs.prox_tv(_ring(), np.arange(8.0), 0.5, max_iter=v), 0),
+    "tik_denoise-max_iter": (
+        lambda v: gs.tik_denoise(_ring(), np.arange(8.0), 0.5, max_iter=v),
+        1),
+    "solve_bpdn-max_iter": (
+        lambda v: gs.solve_bpdn(_ring(), gs.itersine(4.0, 4),
+                                np.arange(8.0), max_iter=v), 0),
 }
 
 
 @pytest.mark.parametrize("name", sorted(COUNT_PARAMETERS))
 def test_count_parameter_must_be_an_integer(name):
-    call, smallest = COUNT_PARAMETERS[name]
-    for bad in (smallest + 1.5, float(smallest + 1), True, np.nan):
-        with pytest.raises(exc.BadParameter):
+    call, smallest, error = _expected(COUNT_PARAMETERS, name)
+    for bad in (smallest + 1.5, float(smallest + 1), True, np.nan,
+                smallest - 1):
+        with pytest.raises(error):
             call(bad)
     call(smallest)
     call(np.int64(smallest))
+
+
+def test_sbm_checks_blocks_and_total():
+    for bad in (5, [], [3, True], "34"):
+        with pytest.raises(exc.BadParameter):
+            gs.sbm(bad, 0.5, 0.1)
+    with pytest.raises(exc.BadParameter):
+        gs.sbm([3, 4], 0.5, 0.1, n=7.0)
+    assert gs.sbm((np.int64(3), 4), 0.5, 0.1, n=np.int32(7)).N == 7
 
 
 def test_design_descriptors_store_python_ints():

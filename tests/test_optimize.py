@@ -141,6 +141,14 @@ class TestTikhonov:
         with pytest.raises(exc.BadParameter):
             gs.tik_denoise(sensor64, np.zeros(64), -0.1)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_breakdown_is_refused_not_returned(self):
+        # tol * ||y|| underflows to 0, so scipy's cg cannot stop at the
+        # exact solution and divides 0 by 0 after it.
+        with pytest.raises(exc.SolverFailure):
+            gs.tik_denoise(gs.ring(8), 1e-30 * np.arange(8.0), 0.5,
+                           tol=1e-300)
+
 
 class TestWaveletDenoise:
     def test_rejects_loose_frames(self, sensor64, rng):
