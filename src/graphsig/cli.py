@@ -238,7 +238,8 @@ def _cmd_pyramid_analyze(args, G, f):
     params = {"levels": args.levels, "alpha": args.alpha,
               "epsilon": args.epsilon}
     results = {"level_sizes": mr.level_sizes(),
-               "fallback_levels": mr.fallback_levels}
+               "fallback_levels": mr.fallback_levels,
+               "wavefront_counts": mr.wavefront_counts}
     return os.path.join(args.out, "run"), params, outputs, results
 
 
@@ -292,10 +293,14 @@ def _cmd_denoise(args, G, y):
     if args.report:
         gio.save_report(args.report, report)
         outputs.append(args.report)
+    gain = snr(y, x) if np.asarray(y).ndim == 1 else None
     results = {"iterations": report.iterations,
                "objective": report.objective,
                "converged": report.converged,
-               "snr_vs_input": snr(y, x) if np.asarray(y).ndim == 1 else None}
+               # Strict JSON has no infinity: an output equal to its input
+               # (infinite SNR) is written as null.
+               "snr_vs_input": gain if gain is not None and np.isfinite(gain)
+               else None}
     return args.out, params, outputs, results
 
 

@@ -28,6 +28,7 @@ columns, slower at 8.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -347,22 +348,37 @@ def design(kind: str, G_or_lmax, **params) -> FilterBank:
     return builder(G_or_lmax, **params)
 
 
+def _warped_from_descriptor(lmax, knots_x, knots_y, n_filters):
+    return _warped_bank(knots_x, knots_y,
+                        _check_int("n_filters", n_filters, minimum=1), lmax)
+
+
 def bank_from_descriptor(desc: dict) -> FilterBank:
-    """Rebuild a bank from its JSON descriptor, bit-identically."""
+    """Rebuild a bank from its JSON descriptor, bit-identically.
+
+    Raises:
+        BadParameter: The descriptor lacks ``kind`` or ``lmax``, its
+            ``lmax`` is not a finite positive number, it names an unknown
+            design, lacks a parameter the design needs or has one it does
+            not take, or holds a value the design refuses.
+    """
     try:
         kind = desc["kind"]
-        lmax = float(desc["lmax"])
+        lmax = desc["lmax"]
         params = dict(desc.get("params", {}))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise BadParameter(f"malformed filter descriptor: {desc!r}") from exc
-    if kind == "warped_translates":
-        return _warped_bank(params["knots_x"], params["knots_y"],
-                            _check_int("n_filters", params["n_filters"],
-                                       minimum=1),
-                            lmax)
-    if kind not in _DESIGNS:
+    lmax = _check_real("lmax", lmax, positive=True)
+    builder = (_warped_from_descriptor if kind == "warped_translates"
+               else _DESIGNS.get(kind))
+    if builder is None:
         raise BadParameter(f"unknown filter design {kind!r} in descriptor")
-    return _DESIGNS[kind](lmax, **params)
+    try:
+        bound = inspect.signature(builder).bind(lmax, **params)
+    except TypeError as exc:
+        raise BadParameter(
+            f"{kind} descriptor parameters {sorted(params)}: {exc}") from exc
+    return builder(*bound.args, **bound.kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Graph families: deterministic shapes, random models and point-cloud graphs.
 
-All random families take a ``seed`` and draw every sample from
+All random families take a ``seed``, an integer ``>= 0`` (anything else
+raises ``BadParameter``), and draw every sample from
 ``numpy.random.default_rng(seed)``; the same seed therefore reproduces the
 same graph bit for bit, and no global random state is touched.
 
@@ -126,7 +127,7 @@ def erdos_renyi(n: int, p: float, seed: int = 0) -> Graph:
     """G(n, p): each of the n(n-1)/2 possible edges present with probability p."""
     n = _check_int("n", n, minimum=2, error=SizeTooSmall)
     p = _check_real("p", p, maximum=1.0, error=BadProbability)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int("seed", seed, minimum=0))
     rows, cols = np.triu_indices(n, k=1)
     mask = rng.random(rows.size) < p
     return _undirected(rows[mask], cols[mask], np.ones(int(mask.sum())), n,
@@ -164,7 +165,7 @@ def sbm(block_sizes, p_in: float, p_out: float, seed: int = 0,
     p_in = _check_real("p_in", p_in, maximum=1.0, error=BadProbability)
     p_out = _check_real("p_out", p_out, maximum=1.0, error=BadProbability)
     labels = np.repeat(np.arange(len(sizes)), sizes)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int("seed", seed, minimum=0))
     rows, cols = np.triu_indices(total, k=1)
     prob = np.where(labels[rows] == labels[cols], p_in, p_out)
     mask = rng.random(rows.size) < prob
@@ -203,7 +204,7 @@ def community(n: int, n_communities: int = 4, seed: int = 0,
 def sensor(n: int, seed: int = 0, k: int = 6) -> Graph:
     """Random sensor network: uniform points in the unit square, kNN edges."""
     n = _check_int("n", n, minimum=2, error=SizeTooSmall)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int("seed", seed, minimum=0))
     pts = rng.random((n, 2))
     return nn_graph(pts, k=min(k, n - 1), name=f"sensor({n})")
 
@@ -216,7 +217,7 @@ def swiss_roll(n: int, seed: int = 0, noise: float = 0.0, k: int = 5) -> Graph:
     """
     n = _check_int("n", n, minimum=2, error=SizeTooSmall)
     noise = _check_real("noise", noise)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int("seed", seed, minimum=0))
     t = 1.5 * np.pi * (1.0 + 2.0 * rng.random(n))
     height = rng.random(n)
     pts = np.column_stack([t * np.cos(t), height * 21.0, t * np.sin(t)])
@@ -232,7 +233,7 @@ def two_moons(n: int, seed: int = 0, noise: float = 0.05,
     n = _check_int("n", n, minimum=2, error=SizeTooSmall)
     radius = _check_real("radius", radius, positive=True)
     noise = _check_real("noise", noise)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_int("seed", seed, minimum=0))
     n_top = n // 2
     n_bot = n - n_top
     t_top = np.pi * rng.random(n_top)

@@ -143,9 +143,14 @@ def load_signal(path) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _dump_json(path, payload: dict) -> None:
+    """Write ``payload`` as strict JSON; a NaN or infinity raises
+    ``NonFiniteValue`` before the file is opened."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteValue(f"{path}: {exc}") from exc
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _load_json(path) -> dict:

@@ -94,7 +94,8 @@ def prox_tv(G: Graph, y, gamma: float, max_iter: int = 1000,
 
     Returns:
         ``(x, SolverReport)``; the report's ``residual`` is the final
-        relative duality gap.
+        relative duality gap (with ``max_iter=0``, that of the start point
+        ``x = y``, ``p = 0``).
     """
     gamma = _check_real("gamma", gamma)
     max_iter = _check_int("max_iter", max_iter, minimum=0)
@@ -123,9 +124,12 @@ def prox_tv(G: Graph, y, gamma: float, max_iter: int = 1000,
     p = np.zeros((ne, arr.shape[1]))
     z = p
     t = 1.0
-    history: List[float] = []
-    best_x, best_gap, best_obj = arr.copy(), np.inf, primal(arr)
-    converged = False
+    best_x, best_obj = arr.copy(), primal(arr)
+    # The start point (x = y, p = 0) has dual objective 0, so its gap is
+    # its primal objective.  It is reported only when no iteration runs.
+    best_gap = best_obj / (1.0 + abs(best_obj)) if max_iter == 0 else np.inf
+    history: List[float] = [best_obj] if max_iter == 0 else []
+    converged = best_gap <= tol
     it = 0
     prev_obj = np.inf
     for it in range(1, max_iter + 1):

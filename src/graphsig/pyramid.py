@@ -1,19 +1,33 @@
 """Multiresolution of graphs by Kron reduction, with analysis and synthesis.
 
-Coarsening keeps the vertices where the top Laplacian eigenvector is
-nonnegative, eliminates the rest by a Schur complement of the combinatorial
-Laplacian (which is again a Laplacian), and repeats.  Signals ride along via
-a smoothing filter before downsampling plus stored prediction errors, so the
-transform is perfectly invertible.
+Coarsening splits each level in two by the top eigenvector of its Laplacian,
+keeps the larger side, eliminates the rest by a Schur complement of the
+combinatorial Laplacian (which is again a Laplacian), and repeats.  Signals
+ride along via a smoothing filter before downsampling plus stored prediction
+errors, so the transform is perfectly invertible.
+
+Only eigenvector entries above ``1e-8`` times the largest are split by
+polarity; the signs of the smaller ones are roundoff, and on sensor graphs,
+whose top eigenvector sits on a few hubs, that is most of them.  A greedy
+wavefront on the level's Laplacian assigns those vertices, each to the side
+opposite its decided neighbours' weighted majority, so the split is the same
+from a dense, a Lanczos or a perturbed eigenvector (see :func:`_split`).
 
 A Schur complement of a Schur complement is the Schur complement onto the
 nested set, so level ``l`` is ``S_l = L / (V \\ K_l)`` of the finest
 Laplacian ``L``, with ``K_l`` the level's vertices as indices into the
-finest graph.  The analysis and synthesis operators use that: each level
-costs two sparse LUs of at most ``N`` rows of the finest ``L`` (smoothing and
-extension), built on first use, and no level graph.  Level graphs are
-Kron-reduced only where vertex selection reads them or a caller indexes
-:attr:`Multiresolution.graphs`.
+finest graph.  Everything uses that, and no level graph is built:
+
+- selection applies ``S_l`` implicitly, with one sparse LU of the
+  eliminated block per level (:func:`_level_operator`); small levels and a
+  failed Lanczos run take the dense ``S_l`` from that operator, up to the
+  dense cap;
+- analysis and synthesis cost two sparse LUs of at most ``N`` rows of the
+  finest ``L`` per level (smoothing and extension), built on first use.
+
+Level graphs are Kron-reduced only when a caller indexes
+:attr:`Multiresolution.graphs`, and a level above the dense cap
+(``GRAPHSIG_DENSE_CAP``) raises ``GraphTooLargeForDense`` instead.
 """
 
 from __future__ import annotations
@@ -29,6 +43,7 @@ import scipy.sparse.linalg as spl
 from .exceptions import (
     BadParameter,
     EmptyKeptSet,
+    GraphTooLargeForDense,
     IndexOutOfRange,
     KindMismatch,
     LevelMismatch,
@@ -38,7 +53,7 @@ from .exceptions import (
 )
 from .graphs import (Graph, LaplacianKind, _as_1d_signal, _as_signal,
                      _check_int, _check_real, graph_from_weights)
-from .spectral import _fix_signs, _lanczos_start
+from .spectral import DENSE_CAP_ENV, _fix_signs, _lanczos_start, dense_cap
 
 #: Off-diagonal entries of a reduced Laplacian in (0, +CLAMP] are treated as
 #: elimination roundoff and zeroed by :func:`kron_reduce`.  Nothing raises on
@@ -68,7 +83,7 @@ def _check_kept(n: int, kept) -> np.ndarray:
     return kept
 
 
-def _splu(A, error, what: str, *, symmetric: bool = True):
+def _splu(A, error, what: str):
     """Sparse LU of ``A``; SuperLU's ``RuntimeError`` becomes ``error``.
 
     Every system the pyramid solves has a symmetric pattern and is
@@ -77,13 +92,12 @@ def _splu(A, error, what: str, *, symmetric: bool = True):
     Stability of Numerical Algorithms*, §9).  So the factorization orders by
     minimum degree on ``A + A^T`` and always takes the diagonal pivot, which
     keeps ``perm_r == perm_c`` and about halves the fill of SuperLU's
-    default column ordering with partial pivoting.  ``symmetric=False``
-    keeps that default.
+    default column ordering with partial pivoting.
     """
-    options = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options=dict(SymmetricMode=True)) if symmetric else {}
     try:
-        return spl.splu(sp.csc_matrix(A), **options)
+        return spl.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                        diag_pivot_thresh=0.0,
+                        options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise error(f"{what}: {exc}") from exc
 
@@ -114,14 +128,10 @@ def kron_reduce(L, kept) -> sp.csr_array:
     L_rk = L[np.ix_(rest, kept)].toarray()
     L_kr = L[np.ix_(kept, rest)]
     L_kk = L[np.ix_(kept, kept)].toarray()
-    # SuperLU's default ordering, pinned: vertex selection reads this
-    # output, and its kept sets follow the signs of eigenvector entries
-    # that are pure roundoff, so the last bits here decide them (the
-    # symmetric ordering moves 1033 level-1 keeps of sensor(4000, 0)).
-    # Drop the pin once selection no longer depends on roundoff.
+    # The pyramid's one ordering: vertex selection runs on the implicit
+    # level operator, so nothing reads the last bits of this output.
     X = _splu(L_rr, SingularInteriorBlock,
-              f"eliminated block of size {rest.size} is singular",
-              symmetric=False).solve(L_rk)
+              f"eliminated block of size {rest.size} is singular").solve(L_rk)
     if not np.all(np.isfinite(X)):
         raise SingularInteriorBlock(
             f"eliminated block of size {rest.size} is singular "
@@ -146,7 +156,9 @@ class _LevelGraphs(Sequence):
 
     ``graphs`` holds the levels built so far.  Indexing a missing level
     Kron-reduces each level up to it from the one before, onto that level's
-    kept set in ``keeps``, a list the hierarchy may still be growing.
+    kept set in ``keeps``, a list the hierarchy may still be growing.  Each
+    reduction allocates a dense block of the new level's size squared, so a
+    level above :func:`spectral.dense_cap` raises ``GraphTooLargeForDense``.
     """
 
     def __init__(self, graphs, keeps):
@@ -163,6 +175,11 @@ class _LevelGraphs(Sequence):
         graphs = self._graphs
         while len(graphs) <= level:
             prev, kept = graphs[-1], self._keeps[len(graphs) - 1]
+            cap = dense_cap()
+            if kept.size > cap:
+                raise GraphTooLargeForDense(
+                    f"level {len(graphs)} has {kept.size} vertices, dense "
+                    f"cap is {cap} (override with {DENSE_CAP_ENV})")
             coords = prev.coords[kept] if prev.coords is not None else None
             graphs.append(graph_from_weights(
                 _laplacian_to_weights(kron_reduce(prev.L, kept)),
@@ -189,8 +206,8 @@ class Multiresolution:
 
     Attributes:
         graphs: ``n_levels + 1`` graphs, finest first.  Only the given ones
-            (the finest, plus the levels vertex selection read) are held;
-            indexing or iterating materializes the rest by Kron reduction.
+            are held; indexing or iterating materializes the rest by Kron
+            reduction (``GraphTooLargeForDense`` above the dense cap).
         keeps: For each reduction step, the sorted indices (into that level)
             of the vertices that survive into the next level.
         alpha: Smoothing strength of the analysis filter ``1 / (1 + alpha x)``.
@@ -198,6 +215,9 @@ class Multiresolution:
         fallback_levels: Level indices where the eigenvector split was
             degenerate and the deterministic every-other-vertex fallback was
             used instead.
+        wavefront_counts: Per level selected by :func:`graph_multiresolution`,
+            how many vertices the wavefront assigned because their
+            eigenvector entries were roundoff (empty for given keeps).
 
     Raises:
         KindMismatch: The active Laplacian is not the combinatorial one.
@@ -214,6 +234,7 @@ class Multiresolution:
     alpha: float = 1.0
     epsilon: float = 0.005
     fallback_levels: List[int] = field(default_factory=list)
+    wavefront_counts: List[int] = field(default_factory=list)
 
     def __post_init__(self):
         G = self.graphs[0]
@@ -257,48 +278,131 @@ class Multiresolution:
 #: Lanczos iteration with a fixed start vector keeps the cost linear-ish.
 _DENSE_EIGVEC_CUTOFF = 256
 
+#: Eigenvector entries of magnitude at most this fraction of the largest are
+#: treated as roundoff: their sign decides nothing (see :func:`_split`).
+_POLARITY_TOL = 1e-8
 
-def _top_eigenvector(L: sp.csr_array) -> np.ndarray:
-    """Largest-eigenvalue eigenvector with a deterministic sign."""
+
+def _level_operator(L: sp.csr_array, vertices: np.ndarray):
+    """The Laplacian ``S = L / (V \\ K)`` of the level whose vertices ``K``
+    are ``vertices`` (sorted indices into the finest ``L``), not formed:
+    ``S v = L_KK v - L_KR (L_RR^{-1} (L_RK v))`` with one sparse LU of
+    ``L_RR``.  The finest level is ``L`` itself.
+
+    Raises:
+        SingularInteriorBlock: ``L_RR`` cannot be factorized.
+    """
     n = L.shape[0]
+    if vertices.size == n:
+        return L
+    rest = np.setdiff1d(np.arange(n), vertices)
+    L_kk = L[np.ix_(vertices, vertices)]
+    L_kr = L[np.ix_(vertices, rest)]
+    L_rk = L[np.ix_(rest, vertices)]
+    lu = _splu(L[np.ix_(rest, rest)], SingularInteriorBlock,
+               f"eliminated block of size {rest.size} is singular")
+
+    def apply(v):
+        return L_kk @ v - L_kr @ lu.solve(L_rk @ v)
+
+    return spl.LinearOperator((vertices.size,) * 2, matvec=apply,
+                              matmat=apply, dtype=float)
+
+
+def _dense_level(S) -> np.ndarray:
+    """The level operator ``S`` as a dense array, by applying it to the
+    identity in blocks of columns (never through :func:`kron_reduce`).
+
+    Raises:
+        GraphTooLargeForDense: ``S`` is larger than :func:`spectral.dense_cap`.
+    """
+    n, cap = S.shape[0], dense_cap()
+    if n > cap:
+        raise GraphTooLargeForDense(
+            f"level has {n} vertices, dense cap is {cap} "
+            f"(override with {DENSE_CAP_ENV})")
+    # Blocks bound the implicit operator's solve to |R| x 256 doubles.
+    out = np.empty((n, n))
+    for j in range(0, n, 256):
+        block = np.eye(n, min(256, n - j), -j)
+        out[:, j:j + block.shape[1]] = S @ block
+    return out
+
+
+def _top_eigenvector(S) -> np.ndarray:
+    """Largest-eigenvalue eigenvector of the symmetric level operator ``S``
+    (sparse, implicit or dense) with a deterministic sign."""
+    n = S.shape[0]
     U = None
     if n > _DENSE_EIGVEC_CUTOFF:
         try:
-            _, U = spl.eigsh(L.astype(float), k=1, which="LA",
-                             tol=0, v0=_lanczos_start(n), ncv=min(n, 32))
+            _, U = spl.eigsh(S, k=1, which="LA", tol=0,
+                             v0=_lanczos_start(n), ncv=min(n, 32))
         except (spl.ArpackError, spl.ArpackNoConvergence):
             pass
     if U is None:
-        U = np.linalg.eigh(L.toarray())[1][:, -1:]
+        U = np.linalg.eigh(_dense_level(S))[1][:, -1:]
     return _fix_signs(U)[:, 0]
 
 
-def _select_kept(L: sp.csr_array) -> tuple[np.ndarray, bool]:
-    """Vertices in the nonnegative part of the top eigenvector.
+def _split(S, u: np.ndarray) -> tuple[np.ndarray, int]:
+    """Two-sided split of a level by the top eigenvector ``u`` of its
+    Laplacian ``S``, roundoff-free.
 
-    Returns the kept index set and a flag marking the deterministic fallback
-    (taken when the split would keep everything or nothing).  When the
-    nonnegative side is the minority, the eigenvector sign is flipped so at
-    least half the vertices survive — eigenvectors are only defined up to
-    sign anyway.
+    Only the entries with ``|u_i| > _POLARITY_TOL * max |u|`` are decided
+    by polarity; the signs of the others are roundoff.  A greedy wavefront
+    on ``S`` assigns those: with ``g = S s`` for the partial +-1 assignment
+    ``s``, every undecided vertex with ``|g_i|`` at least half the largest
+    undecided ``|g|`` takes the side ``sign(g_i)``, which is opposite its
+    decided neighbours' weighted majority, until none is undecided.  (Should
+    every undecided ``g_i`` vanish, the first undecided vertex takes side
+    +1.)  Returns the larger side, the one holding vertex 0 on a tie, and
+    the number of vertices the wavefront assigned.
     """
-    n = L.shape[0]
-    u = _top_eigenvector(L)
-    kept = np.flatnonzero(u >= 0)
-    if kept.size < (n + 1) // 2:
-        kept = np.flatnonzero(-u >= 0)
+    side = np.where(np.abs(u) > _POLARITY_TOL * np.abs(u).max(),
+                    np.sign(u), 0.0)
+    undecided = np.flatnonzero(side == 0)
+    assigned = undecided.size
+    while undecided.size:
+        g = np.ravel(S @ side)[undecided]
+        reach = np.abs(g)
+        top = reach.max()
+        if top == 0:
+            side[undecided[0]] = 1.0
+            undecided = undecided[1:]
+            continue
+        now = reach >= 0.5 * top
+        side[undecided[now]] = np.sign(g[now])
+        undecided = undecided[~now]
+    plus = np.count_nonzero(side > 0)
+    larger = 1.0 if 2 * plus > side.size else -1.0
+    if 2 * plus == side.size:
+        larger = side[0]
+    return np.flatnonzero(side == larger), assigned
+
+
+def _select_kept(S) -> tuple[np.ndarray, bool, int]:
+    """The kept vertices of a level with Laplacian ``S``, by :func:`_split`
+    on its top eigenvector.
+
+    Returns the kept index set, a flag marking the deterministic
+    every-other-vertex fallback (taken when the split would keep everything
+    or nothing), and the number of vertices the wavefront assigned.
+    """
+    n = S.shape[0]
+    kept, assigned = _split(S, _top_eigenvector(S))
     if kept.size in (0, n):
-        return np.arange(0, n, 2), True
-    return kept, False
+        return np.arange(0, n, 2), True, assigned
+    return kept, False, assigned
 
 
 def graph_multiresolution(G: Graph, n_levels: int, alpha: float = 1.0,
                           epsilon: float = 0.005) -> Multiresolution:
     """Build a Kron-reduction pyramid of ``n_levels + 1`` graphs.
 
-    Selection reads the graphs of levels ``0 .. n_levels - 1``, so this
-    makes ``n_levels - 1`` Kron reductions; the coarsest graph is reduced
-    when first accessed.
+    Each level's vertices are selected on its Laplacian applied implicitly
+    through the finest one (see :func:`_level_operator`), so this builds no
+    level graph: each is Kron-reduced when first accessed.
 
     Args:
         G: Connected undirected graph carrying its combinatorial Laplacian.
@@ -309,19 +413,24 @@ def graph_multiresolution(G: Graph, n_levels: int, alpha: float = 1.0,
     Raises:
         BadParameter: ``n_levels`` is not a nonnegative integer, or a level
             would shrink below two vertices.
+        GraphTooLargeForDense: A level whose eigenvector needs a dense
+            solve (at most ``_DENSE_EIGVEC_CUTOFF`` vertices, or Lanczos
+            failed) has more vertices than the dense cap.
         GraphSigError: What :class:`Multiresolution` refuses.
     """
     n_levels = _check_int("n_levels", n_levels, minimum=0)
     mr = Multiresolution([G], [], alpha, epsilon)
     for level in range(n_levels):
-        current = mr.graphs[level]
-        if current.N < 2:
+        vertices = mr._vertices[level]
+        if vertices.size < 2:
             raise BadParameter(
                 f"cannot reduce below 2 vertices (level {level} has "
-                f"{current.N})")
-        kept, used_fallback = _select_kept(current.L)
+                f"{vertices.size})")
+        kept, used_fallback, assigned = _select_kept(
+            _level_operator(G.L, vertices))
         if used_fallback:
             mr.fallback_levels.append(level)
+        mr.wavefront_counts.append(assigned)
         mr._add_level(kept)
     return mr
 

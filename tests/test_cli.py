@@ -202,6 +202,16 @@ class TestPyramid:
         manifest = json.loads((tmp / "rec.manifest.json").read_text())
         assert manifest["results"]["max_abs_diff"] < 1e-10
 
+    def test_analyze_records_the_selection(self, sensor_files):
+        tmp, gpath, spath = sensor_files
+        assert run("pyramid", "analyze", gpath, "--signal", spath,
+                   "--levels", 2, "--out", tmp / "pyr") == 0
+        results = json.loads(
+            (tmp / "pyr" / "run.manifest.json").read_text())["results"]
+        mr = gs.graph_multiresolution(gio.load_graph(gpath), 2)
+        assert results["wavefront_counts"] == mr.wavefront_counts
+        assert results["fallback_levels"] == mr.fallback_levels == []
+
     def test_missing_subcommand_is_exit_1(self):
         assert run("pyramid") == 1
 
@@ -226,6 +236,22 @@ class TestDenoise:
         assert report["converged"] is True
         manifest = json.loads((tmp / "x.manifest.json").read_text())
         assert manifest["results"]["snr_vs_input"] is not None
+
+    def test_tv_without_iterations_writes_strict_json(self, sensor_files):
+        tmp, gpath, spath = sensor_files
+        out, rep = tmp / "tv0.csv", tmp / "tv0.json"
+        assert run("denoise", gpath, "--signal", spath, "--out", out,
+                   "--solver", "tv", "--max-iter", 0, "--report", rep) == 0
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        report = json.loads(rep.read_text(), parse_constant=refuse)
+        assert report["iterations"] == 0 and len(
+            report["objective_history"]) == 1
+        manifest = json.loads((tmp / "tv0.manifest.json").read_text(),
+                              parse_constant=refuse)
+        assert manifest["results"]["snr_vs_input"] is None
 
     def test_tv(self, sensor_files):
         tmp, gpath, spath = sensor_files

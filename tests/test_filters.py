@@ -155,6 +155,19 @@ class TestDescriptors:
         with pytest.raises(exc.BadParameter):
             gs.bank_from_descriptor({"kind": "mystery", "lmax": 1.0})
 
+    @pytest.mark.parametrize("kind, params", [
+        ("warped_translates", {"n_filters": 3, "knots_y": [0, 1]}),
+        ("warped_translates", {"n_filters": 3, "knots_x": [0, 1]}),
+        ("warped_translates", {"n_filters": 3, "knots_x": [0, 1],
+                               "knots_y": [0, 1], "bogus": 1}),
+        ("heat", {"bogus": 3}),
+        ("itersine", {"n_filters": 3, "lmax": 2.0}),
+    ])
+    def test_descriptor_parameters_must_fit_the_design(self, kind, params):
+        with pytest.raises(exc.BadParameter):
+            gs.bank_from_descriptor({"kind": kind, "lmax": 2.0,
+                                     "params": params})
+
 
 class TestChebyshev:
     def test_constant_kernel_coefficients(self):

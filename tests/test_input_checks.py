@@ -14,6 +14,12 @@ def _ring(n=8):
     return G
 
 
+def _reload_warped_lmax(lmax):
+    desc = gs.warped_translates(_ring(), 3).design
+    desc["lmax"] = lmax
+    return gs.bank_from_descriptor(desc)
+
+
 POINTS = np.random.default_rng(0).random((12, 2))
 IMAGE = np.arange(36.0).reshape(6, 6)
 
@@ -24,6 +30,7 @@ IMAGE = np.arange(36.0).reshape(6, 6)
 REAL_PARAMETERS = {
     "heat-lmax": (lambda v: gs.heat(v), 1e-3),
     "heat-tau": (lambda v: gs.heat(2.0, tau=v), 0.0),
+    "bank_from_descriptor-lmax": (_reload_warped_lmax, 1e-3),
     "gabor-width": (lambda v: gs.gabor(2.0, 4, width=v), 1e-3),
     "expwin-transition": (lambda v: gs.expwin(2.0, 0.2, transition=v), 1e-3),
     "chebyshev_coeffs-lmax": (
@@ -186,6 +193,11 @@ COUNT_PARAMETERS = {
     "community-n_communities": (lambda v: gs.community(12, v), 1),
     "sensor-n": (lambda v: gs.sensor(v), 2, exc.SizeTooSmall),
     "sensor-k": (lambda v: gs.sensor(12, k=v), 1),
+    "sensor-seed": (lambda v: gs.sensor(12, seed=v), 0),
+    "erdos_renyi-seed": (lambda v: gs.erdos_renyi(10, 0.5, seed=v), 0),
+    "sbm-seed": (lambda v: gs.sbm([3, 4], 0.5, 0.1, seed=v), 0),
+    "swiss_roll-seed": (lambda v: gs.swiss_roll(12, seed=v), 0),
+    "two_moons-seed": (lambda v: gs.two_moons(12, seed=v), 0),
     "swiss_roll-n": (lambda v: gs.swiss_roll(v), 2, exc.SizeTooSmall),
     "swiss_roll-k": (lambda v: gs.swiss_roll(12, k=v), 1),
     "two_moons-n": (lambda v: gs.two_moons(v), 2, exc.SizeTooSmall),

@@ -43,6 +43,19 @@ class TestProxTV:
         assert np.array_equal(x, y)
         assert rep.converged and rep.iterations == 0
 
+    def test_no_iteration_reports_the_start_point(self, sensor64, rng):
+        # x = y, p = 0: the dual objective is 0, so the gap is the primal.
+        y = rng.standard_normal(64)
+        x, rep = gs.prox_tv(sensor64, y, 0.3, max_iter=0)
+        obj = 0.3 * float(np.sum(np.abs(gs.incidence(sensor64).D @ y)))
+        assert np.array_equal(x, y)
+        assert rep.iterations == 0 and not rep.converged
+        assert_allclose([rep.objective, rep.residual],
+                        [obj, obj / (1 + obj)], rtol=1e-12)
+        assert rep.objective_history == [rep.objective]
+        _, rep = gs.prox_tv(sensor64, np.full(64, 2.0), 0.3, max_iter=0)
+        assert rep.converged and rep.residual == 0.0
+
     def test_constant_signal_is_fixed_point(self, sensor64):
         y = np.full(64, 3.25)
         x, rep = gs.prox_tv(sensor64, y, 1.0, tol=1e-12)

@@ -1,8 +1,11 @@
 """Kron reduction, interpolation and the multiresolution pyramid."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spl
 from numpy.testing import assert_allclose
 
 import graphsig as gs
@@ -406,7 +409,7 @@ class TestLazyLevels:
                                                         n_levels):
         G = gs.sensor(300, seed=4)
         mr = gs.graph_multiresolution(G, n_levels)
-        assert len(kron_calls) == max(n_levels - 1, 0)
+        assert len(kron_calls) == 0
         coarsest = mr.graphs[n_levels]
         assert len(kron_calls) == n_levels
         mr.graphs[n_levels]
@@ -465,4 +468,68 @@ class TestLazyLevels:
         assert mr.graphs == list(mr.graphs)
         with pytest.raises(IndexError):
             mr.graphs[3]
+        assert len(kron_calls) == 2
+
+
+def _arpack_fails(*args, **kwargs):
+    raise spl.ArpackNoConvergence("forced", np.empty(0), np.empty((0, 0)))
+
+
+class TestImplicitSelection:
+    def test_set_up_reduces_nothing_and_stays_small(self, kron_calls):
+        # One dense block of level 1 (1526 vertices) alone would be 18.6 MB.
+        G = gs.sensor(3000, seed=0)
+        tracemalloc.start()
+        try:
+            gs.graph_multiresolution(G, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kron_calls == []
+        assert peak < 8e6
+
+    def test_wavefront_counts_are_recorded(self):
+        G = gs.sensor(300, seed=4)
+        mr = gs.graph_multiresolution(G, 3)
+        assert len(mr.wavefront_counts) == mr.n_levels
+        assert mr.wavefront_counts[0] > 0
+        for count, size in zip(mr.wavefront_counts, mr.level_sizes()):
+            assert 0 <= count < size
+        assert gs.multiresolution_from_keeps(G, mr.keeps).wavefront_counts \
+            == []
+
+    def test_dense_eigenvectors_come_from_the_implicit_operator(
+            self, kron_calls, monkeypatch):
+        G = gs.sensor(300, seed=4)
+        lanczos = gs.graph_multiresolution(G, 2).keeps
+        monkeypatch.setattr(pyramid.spl, "eigsh", _arpack_fails)
+        dense = gs.graph_multiresolution(G, 2).keeps
+        assert kron_calls == []
+        for a, b in zip(dense, lanczos):
+            assert np.array_equal(a, b)
+
+    def test_dense_selection_above_the_cap_is_refused(self, monkeypatch):
+        monkeypatch.setenv("GRAPHSIG_DENSE_CAP", "100")
+        assert gs.graph_multiresolution(gs.sensor(100, seed=1), 1).n_levels \
+            == 1
+        with pytest.raises(exc.GraphTooLargeForDense):
+            gs.graph_multiresolution(gs.sensor(101, seed=1), 1)
+        gs.graph_multiresolution(gs.sensor(300, seed=1), 1)
+        monkeypatch.setattr(pyramid.spl, "eigsh", _arpack_fails)
+        with pytest.raises(exc.GraphTooLargeForDense):
+            gs.graph_multiresolution(gs.sensor(300, seed=1), 1)
+
+    def test_level_graphs_respect_the_dense_cap(self, kron_calls,
+                                                monkeypatch):
+        G = gs.sensor(300, seed=4)
+        mr = gs.graph_multiresolution(G, 2)
+        sizes = mr.level_sizes()
+        monkeypatch.setenv("GRAPHSIG_DENSE_CAP", str(sizes[1] - 1))
+        assert mr.graphs[0] is G
+        for level in (1, 2):
+            with pytest.raises(exc.GraphTooLargeForDense):
+                mr.graphs[level]
+        assert kron_calls == []
+        monkeypatch.setenv("GRAPHSIG_DENSE_CAP", str(sizes[1]))
+        assert mr.graphs[2].N == sizes[2]
         assert len(kron_calls) == 2

@@ -188,6 +188,39 @@ def test_pyramid_lus_never_pivot_off_the_diagonal(chain, alpha, epsilon):
         assert np.array_equal(lu.perm_r, lu.perm_c)
 
 
+@st.composite
+def selection_levels(draw):
+    """A sensor graph, the vertices of one of its pyramid's levels (sorted
+    indices into it) and the vertices the pyramid kept from that level."""
+    G = draw(sensor_graphs(min_n=16, max_n=80))
+    level = draw(st.integers(0, 2))
+    mr = gs.graph_multiresolution(G, level + 1)
+    return G, mr._vertices[level], mr.keeps[level]
+
+
+@PROPERTY_SETTINGS
+@given(selection_levels(), st.integers(0, 2 ** 32 - 1))
+def test_selection_does_not_depend_on_roundoff(chain, seed):
+    # The dense, Lanczos and implicit eigenvector paths agree to roundoff,
+    # so they must select the same vertices, and so must an eigenvector
+    # moved by 1e-13.
+    G, vertices, selected = chain
+    n = vertices.size
+    S = dense_schur(G.L.toarray(), vertices) if n < G.N else G.L.toarray()
+    u = spectral._fix_signs(np.linalg.eigh(S)[1][:, -1:])[:, 0]
+    kept, _ = pyramid._split(S, u)
+    with mock.patch.object(pyramid, "_DENSE_EIGVEC_CUTOFF", 0):
+        lanczos, _ = pyramid._split(S, pyramid._top_eigenvector(S))
+        implicit, _, _ = pyramid._select_kept(
+            pyramid._level_operator(G.L, vertices))
+    assert np.array_equal(lanczos, kept)
+    assert np.array_equal(implicit, kept)
+    noise = 1e-13 * np.random.default_rng(seed).standard_normal(n)
+    assert np.array_equal(pyramid._split(S, u + noise)[0], kept)
+    assert np.array_equal(selected, kept)
+    assert n <= 2 * kept.size < 2 * n
+
+
 @PROPERTY_SETTINGS
 @given(sensor_graphs(), st.integers(0, 3))
 def test_rebuild_from_keeps_is_bit_identical(G, levels):
