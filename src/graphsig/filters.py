@@ -328,24 +328,37 @@ _DESIGNS = {
 }
 
 
+def _build(builder, kind: str, first, params: dict) -> FilterBank:
+    """``builder(first, **params)``; parameters the builder does not take,
+    or lacks, raise ``BadParameter`` instead of a bare ``TypeError``."""
+    try:
+        bound = inspect.signature(builder).bind(first, **params)
+    except TypeError as exc:
+        raise BadParameter(
+            f"{kind} parameters {sorted(params)}: {exc}") from exc
+    return builder(*bound.args, **bound.kwargs)
+
+
 def design(kind: str, G_or_lmax, **params) -> FilterBank:
     """Build a named filter bank; the string front end used by the CLI.
 
     ``kind`` is one of ``heat``, ``mexican_hat``, ``itersine``, ``regular``,
     ``gabor``, ``expwin`` or ``warped_translates`` (the latter requires a
     graph with a computed Fourier basis).
+
+    Raises:
+        BadParameter: An unknown ``kind`` or parameter, or a number for
+            ``warped_translates``.
     """
-    if kind == "warped_translates":
-        if not isinstance(G_or_lmax, Graph):
-            raise BadParameter("warped_translates needs a Graph, not a number")
-        return warped_translates(G_or_lmax, **params)
-    try:
-        builder = _DESIGNS[kind]
-    except KeyError:
+    builder = (warped_translates if kind == "warped_translates"
+               else _DESIGNS.get(kind))
+    if builder is None:
         raise BadParameter(
             f"unknown filter design {kind!r}; choose from "
-            f"{sorted(_DESIGNS) + ['warped_translates']}") from None
-    return builder(G_or_lmax, **params)
+            f"{sorted(_DESIGNS) + ['warped_translates']}")
+    if builder is warped_translates and not isinstance(G_or_lmax, Graph):
+        raise BadParameter("warped_translates needs a Graph, not a number")
+    return _build(builder, kind, G_or_lmax, params)
 
 
 def _warped_from_descriptor(lmax, knots_x, knots_y, n_filters):
@@ -373,12 +386,7 @@ def bank_from_descriptor(desc: dict) -> FilterBank:
                else _DESIGNS.get(kind))
     if builder is None:
         raise BadParameter(f"unknown filter design {kind!r} in descriptor")
-    try:
-        bound = inspect.signature(builder).bind(lmax, **params)
-    except TypeError as exc:
-        raise BadParameter(
-            f"{kind} descriptor parameters {sorted(params)}: {exc}") from exc
-    return builder(*bound.args, **bound.kwargs)
+    return _build(builder, kind, lmax, params)
 
 
 # ---------------------------------------------------------------------------

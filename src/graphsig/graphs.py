@@ -238,14 +238,23 @@ def graph_from_weights(weights, directed="auto", name: str = "",
     return G
 
 
+def _float_array(x, label: str) -> np.ndarray:
+    """``x`` as a float array; ``BadParameter`` if numpy cannot convert it."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise BadParameter(f"{label} must be numeric: {exc}") from exc
+
+
 def _as_signal(G, f, label: str = "signal") -> np.ndarray:
     """A signal ``(N,)`` or block ``(N, k)`` as a float array, shape kept.
 
-    ``G`` is the graph or its vertex count ``N``.  Raises ``ShapeMismatch``
-    for any other shape and ``NonFiniteValue`` for NaN or infinite entries.
+    ``G`` is the graph or its vertex count ``N``.  Raises ``BadParameter``
+    for non-numeric input, ``ShapeMismatch`` for any other shape and
+    ``NonFiniteValue`` for NaN or infinite entries.
     """
     n = G.N if isinstance(G, Graph) else int(G)
-    arr = np.asarray(f, dtype=float)
+    arr = _float_array(f, label)
     if arr.ndim not in (1, 2) or arr.shape[0] != n:
         raise ShapeMismatch(
             f"{label} must have {n} rows, got shape {arr.shape}")
@@ -256,9 +265,10 @@ def _as_signal(G, f, label: str = "signal") -> np.ndarray:
 
 def _as_1d_signal(n: int, x, label: str = "signal",
                   size_error=ShapeMismatch) -> np.ndarray:
-    """A finite 1-D signal of ``n`` entries; wrong lengths raise
-    ``size_error``, a second axis ``ShapeMismatch``."""
-    arr = np.asarray(x, dtype=float)
+    """A finite 1-D signal of ``n`` entries; non-numeric input raises
+    ``BadParameter``, wrong lengths ``size_error``, a second axis
+    ``ShapeMismatch``."""
+    arr = _float_array(x, label)
     if arr.shape[:1] != (n,):
         raise size_error(
             f"{label} must have {n} entries, got shape {arr.shape}")
@@ -339,6 +349,7 @@ def laplacian(G: Graph, kind=None) -> sp.csr_array:
         The sparse Laplacian, also stored as ``G.L``.
 
     Raises:
+        BadParameter: ``kind`` names no :class:`LaplacianKind`.
         KindMismatch: Undirected kind requested for a directed graph.
         ZeroDegreeVertex: Degree-normalized form with an isolated in/out side.
         NotStronglyConnected: Distribution-normalized form on a graph whose
@@ -349,7 +360,10 @@ def laplacian(G: Graph, kind=None) -> sp.csr_array:
         kind = G.lap_kind or (
             LaplacianKind.COMBINATORIAL_DIRECTED if G.directed
             else LaplacianKind.COMBINATORIAL)
-    kind = LaplacianKind(kind)
+    try:
+        kind = LaplacianKind(kind)
+    except ValueError:
+        raise BadParameter(f"unknown laplacian kind {kind!r}") from None
     if not kind.for_directed and G.directed:
         raise KindMismatch(
             f"laplacian kind {kind.value!r} needs an undirected graph")

@@ -59,6 +59,15 @@ def dense_cap() -> int:
             f"{DENSE_CAP_ENV}={raw!r} is not an integer") from exc
 
 
+def _check_dense_cap(n: int, what: str) -> None:
+    """Refuse dense work on ``what`` above :func:`dense_cap` vertices."""
+    cap = dense_cap()
+    if n > cap:
+        raise GraphTooLargeForDense(
+            f"{what} has {n} vertices, dense cap is {cap} "
+            f"(override with {DENSE_CAP_ENV})")
+
+
 @dataclass
 class SpectralData:
     """Eigendecomposition of a graph's active Laplacian.
@@ -115,11 +124,7 @@ def compute_fourier_basis(G: Graph) -> SpectralData:
     """
     if G._spectral is not None:
         return G._spectral
-    cap = dense_cap()
-    if G.N > cap:
-        raise GraphTooLargeForDense(
-            f"graph has {G.N} vertices, dense cap is {cap} "
-            f"(override with {DENSE_CAP_ENV})")
+    _check_dense_cap(G.N, "graph")
     _require_symmetric(G, "no orthonormal Fourier basis exists")
     Ld = G.L.toarray()
     e, U = np.linalg.eigh((Ld + Ld.T) * 0.5)

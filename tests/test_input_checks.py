@@ -225,6 +225,35 @@ def test_count_parameter_must_be_an_integer(name):
     call(np.int64(smallest))
 
 
+def _pyramid_analysis(f):
+    G = gs.ring(8)
+    return gs.pyramid_analysis(gs.graph_multiresolution(G, 1), f)
+
+
+#: Inputs of the wrong kind that numpy, an enum or a call binding would
+#: refuse with a bare ``ValueError`` or ``TypeError``, as a call taking the
+#: input, and an input that must stay accepted.
+TYPED_REFUSALS = {
+    "design-heat-unknown_parameter": (
+        lambda v: gs.design("heat", 2.0, **v), {"tau": 1.0}, {"bogus": 1}),
+    "design-warped_translates-unknown_parameter": (
+        lambda v: gs.design("warped_translates", _ring(), **v),
+        {"n_filters": 3}, {"bogus": 1}),
+    "gft-signal": (lambda v: gs.gft(_ring(), v), np.ones(8), "x"),
+    "pyramid_analysis-signal": (_pyramid_analysis, np.ones(8), ["a"] * 8),
+    "laplacian-kind": (lambda v: gs.laplacian(gs.ring(8), kind=v),
+                       "normalized", "foo"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TYPED_REFUSALS))
+def test_wrong_kind_of_input_is_bad_parameter(name):
+    call, good, bad = TYPED_REFUSALS[name]
+    with pytest.raises(exc.BadParameter):
+        call(bad)
+    call(good)
+
+
 def test_sbm_checks_blocks_and_total():
     for bad in (5, [], [3, True], "34"):
         with pytest.raises(exc.BadParameter):

@@ -407,18 +407,31 @@ class TestLazyLevels:
     @pytest.mark.parametrize("n_levels", [0, 1, 2, 3])
     def test_selection_reduces_only_the_levels_it_reads(self, kron_calls,
                                                         n_levels):
+        # A level is reduced from the finest Laplacian, once, when read.
         G = gs.sensor(300, seed=4)
         mr = gs.graph_multiresolution(G, n_levels)
         assert len(kron_calls) == 0
         coarsest = mr.graphs[n_levels]
-        assert len(kron_calls) == n_levels
+        assert len(kron_calls) == min(n_levels, 1)
         mr.graphs[n_levels]
-        assert len(kron_calls) == n_levels
-        ref = _chained_levels(G, mr.keeps)[-1]
-        assert coarsest.name == ref.name
+        assert len(kron_calls) == min(n_levels, 1)
+        if n_levels == 0:
+            assert coarsest is G
+            return
+        vertices = mr._vertices[n_levels]
+        direct = gs.graph_from_weights(pyramid._laplacian_to_weights(
+            gs.kron_reduce(G.L, vertices)))
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(coarsest.W, attr),
+                                  getattr(direct.W, attr))
+        assert np.array_equal(coarsest.coords, G.coords[vertices])
+        # Chained reductions agree to roundoff, on the same pattern.
+        ref = _chained_levels(G, mr.keeps)[-1]
+        assert coarsest.name == ref.name
+        for attr in ("indptr", "indices"):
+            assert np.array_equal(getattr(coarsest.W, attr),
                                   getattr(ref.W, attr))
+        assert_allclose(coarsest.W.data, ref.W.data, rtol=1e-12, atol=0)
         assert np.array_equal(coarsest.coords, ref.coords)
 
     def test_reload_and_operators_reduce_nothing(self, kron_calls, rng,
@@ -453,6 +466,19 @@ class TestLazyLevels:
         assert np.abs(gio.load_signal(tmp_path / "rec.csv") - f).max() \
             <= 1e-10
 
+    def test_reading_the_coarsest_level_reduces_it_alone(self, kron_calls):
+        # Level 3 of 3000 vertices has about 380; a chain through levels 1
+        # and 2 would hold a dense block of level 1 (1526 vertices, 18.6 MB).
+        mr = gs.graph_multiresolution(gs.sensor(3000, seed=0), 3)
+        tracemalloc.start()
+        try:
+            coarsest = mr.graphs[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kron_calls == [coarsest.N]
+        assert peak < 20e6
+
     def test_graphs_read_like_a_list(self, kron_calls):
         G = gs.sensor(120, seed=5)
         assert gs.graph_multiresolution(G, 0).graphs == [G]
@@ -469,6 +495,30 @@ class TestLazyLevels:
         with pytest.raises(IndexError):
             mr.graphs[3]
         assert len(kron_calls) == 2
+
+
+class _NaNFactor:
+    """A factor whose every solve is NaN, as a singular block may give."""
+
+    def solve(self, b):
+        return np.full(b.shape, np.nan)
+
+
+class TestNonFiniteSolve:
+    @pytest.fixture()
+    def nan_factors(self, monkeypatch):
+        monkeypatch.setattr(pyramid, "_splu", lambda *args: _NaNFactor())
+
+    def test_kron_reduce_refuses_it(self, nan_factors):
+        with pytest.raises(exc.SingularInteriorBlock, match="non-finite"):
+            gs.kron_reduce(gs.sensor(40, seed=1).L, np.arange(0, 40, 2))
+
+    def test_selection_refuses_it(self, nan_factors):
+        # Level 0 is the finest L and solves nothing; level 1 solves.
+        G = gs.sensor(40, seed=1)
+        assert gs.graph_multiresolution(G, 1).n_levels == 1
+        with pytest.raises(exc.SingularInteriorBlock, match="non-finite"):
+            gs.graph_multiresolution(G, 2)
 
 
 def _arpack_fails(*args, **kwargs):
@@ -521,15 +571,14 @@ class TestImplicitSelection:
 
     def test_level_graphs_respect_the_dense_cap(self, kron_calls,
                                                 monkeypatch):
+        # Each level is capped by its own size, not by the levels above it.
         G = gs.sensor(300, seed=4)
         mr = gs.graph_multiresolution(G, 2)
         sizes = mr.level_sizes()
         monkeypatch.setenv("GRAPHSIG_DENSE_CAP", str(sizes[1] - 1))
         assert mr.graphs[0] is G
-        for level in (1, 2):
-            with pytest.raises(exc.GraphTooLargeForDense):
-                mr.graphs[level]
+        with pytest.raises(exc.GraphTooLargeForDense):
+            mr.graphs[1]
         assert kron_calls == []
-        monkeypatch.setenv("GRAPHSIG_DENSE_CAP", str(sizes[1]))
         assert mr.graphs[2].N == sizes[2]
-        assert len(kron_calls) == 2
+        assert len(kron_calls) == 1

@@ -2,7 +2,7 @@
 spectral-bound helper.
 
 Random small sensor graphs; every level of a pyramid must be a Schur
-complement, rebuilding from stored keeps must repeat the reduction exactly,
+complement, its graph the direct reduction of the finest one, rebuilding from stored keeps must repeat the reduction exactly,
 interpolation must agree with the dense Green's-function fit, each level's
 smoothing and extension must agree with dense formulas on that level's Schur
 complement, every pyramid LU must take its pivots on the diagonal, and the
@@ -122,6 +122,22 @@ def keep_chains(draw):
         keeps.append(kept)
         size = kept.size
     return G, keeps, rng
+
+
+@PROPERTY_SETTINGS
+@given(keep_chains())
+def test_level_graphs_are_direct_reductions_of_the_finest_graph(chain):
+    G, keeps, _ = chain
+    mr = gs.multiresolution_from_keeps(G, keeps)
+    for level in range(1, mr.n_levels + 1):
+        vertices = mr._vertices[level]
+        R = gs.kron_reduce(G.L, vertices)
+        direct = gs.graph_from_weights(pyramid._laplacian_to_weights(R))
+        S = mr.graphs[level].L
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(S, attr), getattr(direct.L, attr))
+        assert_allclose(S.toarray(), dense_schur(G.L.toarray(), vertices),
+                        atol=1e-10)
 
 
 @PROPERTY_SETTINGS
