@@ -414,7 +414,14 @@ def chebyshev_coeffs(kernel, order: int, lmax: float) -> ChebyshevCoeffs:
         kernel: Callable evaluated vectorized on the nodes.
         order: Polynomial order ``K >= 1``; ``K + 1`` coefficients result.
         lmax: Right end of the interval (must be positive).
+
+    Raises:
+        BadParameter: ``kernel`` is not callable, ``order`` or ``lmax`` is
+            out of range, or the kernel does not return one value per node.
     """
+    if not callable(kernel):
+        raise BadParameter(
+            f"kernel must be callable, got {type(kernel).__name__}")
     order = _check_int("order", order, minimum=1)
     lmax = _check_real("lmax", lmax, positive=True)
     npts = order + 1

@@ -156,7 +156,7 @@ def _as_sparse(weights) -> sp.csr_array:
     if sp.issparse(weights):
         M = sp.csr_array(weights)
     else:
-        M = sp.csr_array(np.asarray(weights, dtype=float))
+        M = sp.csr_array(_float_array(weights, "weight matrix"))
     return M.astype(np.float64)
 
 
@@ -184,6 +184,7 @@ def graph_from_weights(weights, directed="auto", name: str = "",
         A :class:`Graph` with ``L`` and ``lap_kind`` populated.
 
     Raises:
+        BadParameter: If the weights are not numeric.
         NonSquareMatrix: If the matrix is not square.
         NonFiniteValue: If any entry is NaN or infinite.
         NegativeWeight: If any entry is negative.

@@ -20,7 +20,8 @@ from .exceptions import BadParameter, NotTightFrame, ShapeMismatch, SolverFailur
 # filter_analysis and filter_synthesis stay importable from this module.
 from .filters import (FilterBank, _bank_operator, _squeezed,  # noqa: F401
                       filter_analysis, filter_synthesis, frame_bounds)
-from .graphs import Graph, _as_1d_signal, _as_signal, _check_int, _check_real
+from .graphs import (Graph, _as_1d_signal, _as_signal, _check_int,
+                     _check_real, _float_array)
 from .operators import incidence
 from .spectral import _lmax_bound, get_lmax
 
@@ -60,10 +61,11 @@ def snr(reference, estimate) -> float:
     """Signal-to-noise ratio of ``estimate`` against ``reference``, in dB.
 
     Raises:
+        BadParameter: Either input is not numeric.
         ShapeMismatch: The two arrays differ in shape.
     """
-    ref = np.asarray(reference, dtype=float)
-    est = np.asarray(estimate, dtype=float)
+    ref = _float_array(reference, "reference")
+    est = _float_array(estimate, "estimate")
     if est.shape != ref.shape:
         raise ShapeMismatch(f"estimate has shape {est.shape}, reference "
                             f"{ref.shape}")

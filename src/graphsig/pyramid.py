@@ -49,7 +49,8 @@ from .exceptions import (
 )
 from .graphs import (Graph, LaplacianKind, _as_1d_signal, _as_signal,
                      _check_int, _check_real, graph_from_weights)
-from .spectral import _check_dense_cap, _fix_signs, _lanczos_start
+from .spectral import (_block_pairs, _check_dense_cap, _fix_signs,
+                       _lanczos_start)
 
 #: Off-diagonal entries of a reduced Laplacian in (0, +CLAMP] are treated as
 #: elimination roundoff and zeroed by :func:`kron_reduce`.  Nothing raises on
@@ -118,9 +119,7 @@ def kron_reduce(L, kept) -> sp.csr_array:
     kept = _check_kept(n, kept)
     if kept.size == n:
         raise BadParameter("kept set must leave at least one vertex out")
-    R = _dense_level(_level_operator(L, kept))
-    R += R.T.copy()
-    R *= 0.5
+    R = _block_pairs(_dense_level(_level_operator(L, kept)), mean=True)
     # Zero the roundoff-positive off-diagonal entries.
     off = ~np.eye(R.shape[0], dtype=bool)
     noise = off & (R > 0) & (R <= POSITIVE_OFFDIAG_CLAMP)
@@ -129,15 +128,16 @@ def kron_reduce(L, kept) -> sp.csr_array:
 
 
 class _LevelGraphs(Sequence):
-    """The graphs of a pyramid, finest first, each built on first read.
+    """The graphs of a pyramid, finest first: the finest as given, each
+    coarser one built on first read.
 
     Level ``l`` is the finest Laplacian Kron-reduced straight onto
     ``vertices[l]`` (a list the hierarchy may still be growing), cached.  A
     level above :func:`spectral.dense_cap` raises ``GraphTooLargeForDense``.
     """
 
-    def __init__(self, graphs, vertices):
-        self._graphs = dict(enumerate(graphs))
+    def __init__(self, finest: Graph, vertices):
+        self._graphs = {0: finest}
         self._vertices = vertices
 
     def __len__(self):
@@ -174,9 +174,10 @@ class Multiresolution:
     is built, the hierarchy validates itself on construction.
 
     Attributes:
-        graphs: ``n_levels + 1`` graphs, finest first.  Only the given ones
-            are held; indexing a level Kron-reduces the finest graph onto
-            it, once (``GraphTooLargeForDense`` above the dense cap).
+        graphs: ``n_levels + 1`` graphs, finest first.  Construction takes
+            only the finest one, as a one-item list; indexing a coarser
+            level Kron-reduces the finest graph onto it, once
+            (``GraphTooLargeForDense`` above the dense cap).
         keeps: For each reduction step, the sorted indices (into that level)
             of the vertices that survive into the next level.
         alpha: Smoothing strength of the analysis filter ``1 / (1 + alpha x)``.
@@ -192,9 +193,9 @@ class Multiresolution:
         KindMismatch: The active Laplacian is not the combinatorial one.
         NotConnected: The graph is disconnected (elimination blocks would
             go singular).
-        BadParameter: ``alpha`` or ``epsilon`` is not finite and in range,
-            or a kept set is not integer, repeats an index or covers its
-            level.
+        BadParameter: ``graphs`` holds more than the finest graph,
+            ``alpha`` or ``epsilon`` is not finite and in range, or a kept
+            set is not integer, repeats an index or covers its level.
         EmptyKeptSet, IndexOutOfRange: A kept set is empty or out of range.
     """
 
@@ -206,6 +207,12 @@ class Multiresolution:
     wavefront_counts: List[int] = field(default_factory=list)
 
     def __post_init__(self):
+        if len(self.graphs) != 1:
+            # A given coarse graph would be served unchecked against the
+            # reduction of its level.
+            raise BadParameter(
+                "multiresolution takes only the finest graph, got "
+                f"{len(self.graphs)}; coarser levels are Kron-reduced from it")
         G = self.graphs[0]
         if G.directed or G.lap_kind is not LaplacianKind.COMBINATORIAL:
             raise KindMismatch(
@@ -220,7 +227,7 @@ class Multiresolution:
         self._solvers = []
         # Per level: its vertices as sorted indices into the finest graph.
         self._vertices = [np.arange(G.N)]
-        self.graphs = _LevelGraphs(self.graphs, self._vertices)
+        self.graphs = _LevelGraphs(G, self._vertices)
         for kept in given:
             self._add_level(kept)
 

@@ -68,6 +68,18 @@ def dense_schur(L, kept):
     return A - B @ np.linalg.solve(C, B.T)
 
 
+def dense_fourier_basis(L):
+    """``(U, e, mu)`` of a Laplacian as ``np.linalg.eigh`` gives them on the
+    symmetrized dense matrix, with the package's column signs and ``mu`` the
+    largest ``|U|`` entry."""
+    from graphsig.spectral import _fix_signs
+
+    Ld = L.toarray() if hasattr(L, "toarray") else np.asarray(L, dtype=float)
+    e, U = np.linalg.eigh((Ld + Ld.T) * 0.5)
+    U = _fix_signs(U)
+    return U, e, float(np.max(np.abs(U)))
+
+
 def random_directed_strongly_connected(n, p, seed):
     """Random directed weights plus a directed ring so the walk mixes."""
     rng = np.random.default_rng(seed)

@@ -130,6 +130,18 @@ def test_multiresolution_validates_direct_construction():
     assert np.array_equal(mr.keeps[0], [0, 2, 4, 6])
 
 
+def test_multiresolution_takes_only_the_finest_graph():
+    # A given coarse graph would be served without a check against the
+    # reduction of its level.
+    G = gs.sensor(60, seed=1)
+    with pytest.raises(exc.BadParameter):
+        gs.Multiresolution([G, gs.ring(5)], [np.arange(0, 60, 2)])
+    with pytest.raises(exc.BadParameter):
+        gs.Multiresolution([], [])
+    mr = gs.Multiresolution([G], [np.arange(0, 60, 2)])
+    assert mr.level_sizes() == [60, 30] and mr.graphs[1].N == 30
+
+
 class TestCounts:
     """Counts are refused as floats, not truncated; integers pass."""
 
@@ -243,6 +255,10 @@ TYPED_REFUSALS = {
     "pyramid_analysis-signal": (_pyramid_analysis, np.ones(8), ["a"] * 8),
     "laplacian-kind": (lambda v: gs.laplacian(gs.ring(8), kind=v),
                        "normalized", "foo"),
+    "snr-reference": (lambda v: gs.snr(v, np.ones(3)), np.arange(3.0), "x"),
+    "graph_from_weights-weights": (gs.graph_from_weights, gs.ring(4).W, "x"),
+    "chebyshev_coeffs-kernel": (lambda v: gs.chebyshev_coeffs(v, 5, 2.0),
+                                np.exp, "x"),
 }
 
 

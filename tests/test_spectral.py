@@ -1,5 +1,7 @@
 """Fourier basis, spectral-radius estimation, transforms and localization."""
 
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -181,3 +183,34 @@ class TestLocalize:
         G = gs.ring(6)
         with pytest.raises(exc.MissingFourierBasis):
             gs.localize(G, np.exp, 0)
+
+
+#: Measures, in a fresh process, how far computing the basis of
+#: sensor(1200, 0) raises the peak RSS over the RSS just before the call.
+#: The peak is the kernel's high-water mark of this process's own memory
+#: (``VmHWM``): ``ru_maxrss`` starts at the test process's peak, because
+#: Linux carries it over the ``exec`` of a spawned child.
+_BASIS_PEAK_SNIPPET = """
+import json
+import graphsig as gs
+
+def status_kb(field):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f
+                    if line.startswith(field + ":"))
+
+n = 1200
+G = gs.sensor(n, seed=0)
+before = status_kb("VmRSS")
+gs.compute_fourier_basis(G)
+grown = (status_kb("VmHWM") - before) * 1024
+print(json.dumps({"doubles_per_n2": grown / (8 * n * n)}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc")
+def test_fourier_basis_peaks_under_four_n_squared_doubles(fresh_interpreter):
+    # One N^2 buffer plus dsyevd's 2 N^2 workspace; a symmetrized copy or a
+    # second eigenvector array would push it past 4.
+    assert fresh_interpreter(_BASIS_PEAK_SNIPPET)["doubles_per_n2"] < 4.0
