@@ -23,7 +23,7 @@ from .filters import (FilterBank, _bank_operator, _squeezed,  # noqa: F401
 from .graphs import (Graph, _as_1d_signal, _as_signal, _check_int,
                      _check_real, _float_array)
 from .operators import incidence
-from .spectral import _lmax_bound, get_lmax
+from .spectral import _lmax_bound, _require_symmetric, get_lmax
 
 #: Relative agreement of the frame bounds below which a frame counts as tight.
 TIGHTNESS_TOL = 1e-6
@@ -182,6 +182,7 @@ def tik_denoise(G: Graph, y, gamma: float, tol: float = 1e-10,
         BadParameter: ``gamma`` is negative or not finite, ``tol`` is not
             positive and finite, or ``max_iter`` is given and is not an
             integer ``>= 1``.
+        NonSymmetricLaplacian: The active Laplacian is not symmetric.
         SolverFailure: Conjugate gradients broke down.
     """
     gamma = _check_real("gamma", gamma)
@@ -191,6 +192,7 @@ def tik_denoise(G: Graph, y, gamma: float, tol: float = 1e-10,
         # Not 0: scipy's cg reports success after zero iterations.
         max_iter = _check_int("max_iter", max_iter, minimum=1)
     arr, was_1d = _as_signal(G, y).reshape(G.N, -1), np.ndim(y) == 1
+    _require_symmetric(G.L, "CG would not find the minimizer", G.lap_kind)
     if gamma == 0:
         x = arr.copy()
         report = SolverReport(iterations=0, objective=0.0, residual=0.0,

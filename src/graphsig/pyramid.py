@@ -49,8 +49,8 @@ from .exceptions import (
 )
 from .graphs import (Graph, LaplacianKind, _as_1d_signal, _as_signal,
                      _check_int, _check_real, graph_from_weights)
-from .spectral import (_block_pairs, _check_dense_cap, _fix_signs,
-                       _lanczos_start)
+from .spectral import (_block_pairs, _check_dense_cap, _dense_eigh,
+                       _lanczos_top, _require_symmetric, _splu)
 
 #: Off-diagonal entries of a reduced Laplacian in (0, +CLAMP] are treated as
 #: elimination roundoff and zeroed by :func:`kron_reduce`.  Nothing raises on
@@ -80,25 +80,6 @@ def _check_kept(n: int, kept) -> np.ndarray:
     return kept
 
 
-def _splu(A, error, what: str):
-    """Sparse LU of ``A``; SuperLU's ``RuntimeError`` becomes ``error``.
-
-    Every system the pyramid solves has a symmetric pattern and is
-    diagonally dominant by rows, and elimination without pivoting is stable
-    on such a matrix (growth factor at most 2; Higham, *Accuracy and
-    Stability of Numerical Algorithms*, §9).  So the factorization orders by
-    minimum degree on ``A + A^T`` and always takes the diagonal pivot, which
-    keeps ``perm_r == perm_c`` and about halves the fill of SuperLU's
-    default column ordering with partial pivoting.
-    """
-    try:
-        return spl.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
-                        diag_pivot_thresh=0.0,
-                        options=dict(SymmetricMode=True))
-    except RuntimeError as exc:
-        raise error(f"{what}: {exc}") from exc
-
-
 def kron_reduce(L, kept) -> sp.csr_array:
     """Schur complement of a Laplacian onto a kept vertex set.
 
@@ -111,6 +92,7 @@ def kron_reduce(L, kept) -> sp.csr_array:
     Raises:
         BadParameter: ``kept`` is not integer, repeats an index or covers
             every vertex.
+        NonSymmetricLaplacian: ``L`` is not symmetric.
         SingularInteriorBlock: The eliminated block cannot be factorized,
             e.g. when it contains a whole connected component.
     """
@@ -119,6 +101,7 @@ def kron_reduce(L, kept) -> sp.csr_array:
     kept = _check_kept(n, kept)
     if kept.size == n:
         raise BadParameter("kept set must leave at least one vertex out")
+    _require_symmetric(L, "Kron reduction needs a symmetric one")
     R = _block_pairs(_dense_level(_level_operator(L, kept)), mean=True)
     # Zero the roundoff-positive off-diagonal entries.
     off = ~np.eye(R.shape[0], dtype=bool)
@@ -311,17 +294,12 @@ def _top_eigenvector(S) -> np.ndarray:
     """Largest-eigenvalue eigenvector of the symmetric level operator ``S``
     (sparse, implicit or dense) with a deterministic sign."""
     n = S.shape[0]
-    U = None
     if n > _DENSE_EIGVEC_CUTOFF:
-        try:
-            _, U = spl.eigsh(S, k=1, which="LA", tol=0,
-                             v0=_lanczos_start(n), ncv=min(n, 32))
-        except (spl.ArpackError, spl.ArpackNoConvergence):
-            pass
-    if U is None:
-        _check_dense_cap(n, "level")
-        U = np.linalg.eigh(_dense_level(S))[1][:, -1:]
-    return _fix_signs(U)[:, 0]
+        u = _lanczos_top(S, 0, min(n, 32), vector=True)
+        if u is not None:
+            return u
+    _check_dense_cap(n, "level")
+    return _dense_eigh(_dense_level(S))[1][:, -1]
 
 
 def _split(S, u: np.ndarray) -> tuple[np.ndarray, int]:

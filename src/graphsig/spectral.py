@@ -1,5 +1,8 @@
 """Eigendecomposition, graph Fourier transform and vertex-domain localization.
 
+This module owns every eigensolve and factorization in the package: one
+Lanczos helper, one dense symmetric eigensolver and one sparse LU.
+
 The full eigendecomposition is dense work and is gated by a vertex cap
 (:data:`DEFAULT_DENSE_CAP`, overridable through the ``GRAPHSIG_DENSE_CAP``
 environment variable).  Pipelines that only need a spectral-radius bound can
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
 from .exceptions import (
@@ -39,18 +43,6 @@ _SIGN_EPS = 1e-8
 #: the in-place transpose took 13 ms against 15 ms for 64 or 256 and 28 ms
 #: for a transposed copy.
 _PAIR_BLOCK = 128
-
-
-def _lanczos_start(n: int) -> np.ndarray:
-    """Deterministic Lanczos start vector.
-
-    A ramp rather than a constant: the constant vector is the null
-    eigenvector of every combinatorial Laplacian, which would start the
-    iteration with zero overlap on the wanted top eigenspace.  Using a fixed
-    vector keeps results reproducible and leaves the global RNG untouched.
-    """
-    v = np.arange(1.0, n + 1.0)
-    return v / np.linalg.norm(v)
 
 
 def dense_cap() -> int:
@@ -125,14 +117,64 @@ def _block_pairs(A: np.ndarray, mean: bool) -> np.ndarray:
     return A
 
 
-def _require_symmetric(G: Graph, consequence: str) -> None:
-    """Raise unless the active Laplacian is symmetric to roundoff."""
-    L = G.L
+def _require_symmetric(L, consequence: str, kind=None) -> None:
+    """Raise unless the Laplacian ``L`` (of kind ``kind``, the graph's
+    active one when given) is symmetric to roundoff."""
     scale = max(1.0, float(abs(L).max()))
     if float(abs(L - L.T).max()) > 1e-10 * scale:
-        raise NonSymmetricLaplacian(
-            f"active laplacian ({G.lap_kind.value}) is not symmetric; "
-            f"{consequence}")
+        what = f"active laplacian ({kind.value})" if kind else "laplacian"
+        raise NonSymmetricLaplacian(f"{what} is not symmetric; {consequence}")
+
+
+def _dense_eigh(Ld: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(e, U)`` of the square array ``Ld``, symmetrized, built in its buffer
+    as :func:`compute_fourier_basis` describes, signs by :func:`_fix_signs`."""
+    Ld = _block_pairs(Ld, mean=True)
+    # On the Fortran-ordered view LAPACK works in place: the eigenvectors
+    # land in Ld's buffer as the columns of V.  Transposing the C-ordered
+    # V.T in place then leaves V's values in C order.
+    e, V = sla.eigh(Ld.T, overwrite_a=True, driver="evd")
+    return e, _block_pairs(_fix_signs(V).T, mean=False)
+
+
+def _lanczos_top(A, tol: float, ncv: int, vector: bool):
+    """Largest eigenvalue of the symmetric operator ``A`` or, with
+    ``vector``, its eigenvector (1-D, sign as :func:`_fix_signs`), by ARPACK
+    with ``ncv`` Lanczos vectors; ``None`` when ARPACK fails.  ARPACK's
+    eigenvalue bits depend on ``vector``: ask for it only when it is used.
+    """
+    # A ramp rather than a constant: the constant vector is the null
+    # eigenvector of every combinatorial Laplacian, which would start the
+    # iteration with zero overlap on the wanted top eigenspace.  A fixed
+    # vector keeps results reproducible and leaves the global RNG untouched.
+    v0 = np.arange(1.0, A.shape[0] + 1.0)
+    try:
+        out = spl.eigsh(A, k=1, which="LA", return_eigenvectors=vector,
+                        tol=tol, ncv=ncv, v0=v0 / np.linalg.norm(v0))
+    except (spl.ArpackError, spl.ArpackNoConvergence):
+        return None
+    return _fix_signs(out[1])[:, 0] if vector else float(out[0])
+
+
+def _splu(A, error, what: str):
+    """Sparse LU of ``A``; SuperLU's ``RuntimeError`` becomes ``error``.
+
+    Every caller must pass a matrix with a symmetric pattern that is
+    diagonally dominant by rows (each pyramid system) or symmetric positive
+    definite (``interpolate`` on a normalized Laplacian).  Elimination
+    without pivoting is stable on both (growth factor at most 2 and 1;
+    Higham, *Accuracy and Stability of Numerical Algorithms*, §9, §10).  So
+    the factorization orders by minimum degree on ``A + A^T`` and always
+    takes the diagonal pivot, which keeps ``perm_r == perm_c`` and about
+    halves the fill of SuperLU's default column ordering with partial
+    pivoting.
+    """
+    try:
+        return spl.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                        diag_pivot_thresh=0.0,
+                        options=dict(SymmetricMode=True))
+    except RuntimeError as exc:
+        raise error(f"{what}: {exc}") from exc
 
 
 def compute_fourier_basis(G: Graph) -> SpectralData:
@@ -156,13 +198,8 @@ def compute_fourier_basis(G: Graph) -> SpectralData:
     if G._spectral is not None:
         return G._spectral
     _check_dense_cap(G.N, "graph")
-    _require_symmetric(G, "no orthonormal Fourier basis exists")
-    Ld = _block_pairs(G.L.toarray(), mean=True)
-    # On the Fortran-ordered view LAPACK works in place: the eigenvectors
-    # land in Ld's buffer as the columns of V.  Transposing the C-ordered
-    # V.T in place then leaves V's values in C order.
-    e, V = sla.eigh(Ld.T, overwrite_a=True, driver="evd")
-    U = _block_pairs(_fix_signs(V).T, mean=False)
+    _require_symmetric(G.L, "no orthonormal Fourier basis exists", G.lap_kind)
+    e, U = _dense_eigh(G.L.toarray())
     data = SpectralData(U=U, e=e, lmax=float(e[-1]), exact_lmax=True,
                         mu=max(float(U.max()), -float(U.min())))
     G._spectral = data
@@ -171,17 +208,13 @@ def compute_fourier_basis(G: Graph) -> SpectralData:
 
 def _lmax_bound(A) -> float:
     """The bound :func:`estimate_lmax` describes, for any symmetric PSD matrix."""
-    n = A.shape[0]
+    n, A = A.shape[0], A.astype(float)
     if n <= 2:
-        est = LMAX_SAFETY * float(np.linalg.eigvalsh(A.toarray())[-1])
+        est = LMAX_SAFETY * float(_dense_eigh(A.toarray())[0][-1])
     else:
-        try:
-            val = spl.eigsh(A.astype(float), k=1, which="LA",
-                            return_eigenvectors=False, tol=1e-6,
-                            ncv=min(n, 20), v0=_lanczos_start(n))
-            est = LMAX_SAFETY * float(val[0])
-        except (spl.ArpackError, spl.ArpackNoConvergence):
-            est = float(np.max(abs(A).sum(axis=1)))
+        top = _lanczos_top(A, 1e-6, min(n, 20), vector=False)
+        est = (float(np.max(abs(A).sum(axis=1))) if top is None
+               else LMAX_SAFETY * top)
     return max(est, 0.0)
 
 
@@ -202,7 +235,8 @@ def estimate_lmax(G: Graph) -> float:
         return G._spectral.lmax
     if G._lmax_estimate is not None:
         return G._lmax_estimate
-    _require_symmetric(G, "symmetric Lanczos gives no spectral-radius bound")
+    _require_symmetric(G.L, "symmetric Lanczos gives no spectral-radius bound",
+                       G.lap_kind)
     G._lmax_estimate = _lmax_bound(G.L)
     return G._lmax_estimate
 

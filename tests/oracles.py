@@ -80,6 +80,31 @@ def dense_fourier_basis(L):
     return U, e, float(np.max(np.abs(U)))
 
 
+def small_lmax_bound(A):
+    """The spectral-radius bound of a symmetric sparse matrix of one or two
+    rows: its top eigenvalue from ``np.linalg.eigvalsh``, inflated by the
+    package's safety factor and clipped at 0."""
+    from graphsig.spectral import LMAX_SAFETY
+
+    return max(LMAX_SAFETY * float(np.linalg.eigvalsh(A.toarray())[-1]), 0.0)
+
+
+def lanczos_lmax_bound(L):
+    """The Lanczos spectral-radius bound of a symmetric sparse matrix: the
+    top eigenvalue from ARPACK (value only, ``tol=1e-6``, at most 20
+    Lanczos vectors, started from the normalized ramp ``1..N``), inflated by
+    the package's safety factor."""
+    from scipy.sparse.linalg import eigsh
+
+    from graphsig.spectral import LMAX_SAFETY
+
+    n = L.shape[0]
+    ramp = np.arange(1.0, n + 1.0)
+    top = eigsh(L, k=1, which="LA", return_eigenvectors=False, tol=1e-6,
+                ncv=min(n, 20), v0=ramp / np.linalg.norm(ramp))
+    return LMAX_SAFETY * float(top[0])
+
+
 def random_directed_strongly_connected(n, p, seed):
     """Random directed weights plus a directed ring so the walk mixes."""
     rng = np.random.default_rng(seed)

@@ -14,7 +14,7 @@ from graphsig import io as gio
 from graphsig import pyramid
 from graphsig.cli import main
 
-from oracles import dense_schur
+from oracles import dense_schur, random_directed_strongly_connected
 
 
 class TestKronReduce:
@@ -81,6 +81,14 @@ class TestKronReduce:
         G = gs.graph_from_weights(W, directed=False)
         with pytest.raises(exc.SingularInteriorBlock):
             gs.kron_reduce(G.L, [0, 1])  # eliminates a whole component
+
+    def test_asymmetric_laplacian_refused(self):
+        # The symmetrized result was 0.16 (max relative) from the Schur
+        # complement of this degree-normalized directed Laplacian.
+        W = random_directed_strongly_connected(40, 0.1, seed=0)
+        G = gs.graph_from_weights(W, directed=True, kind="degree-normalized")
+        with pytest.raises(exc.NonSymmetricLaplacian):
+            gs.kron_reduce(G.L, np.arange(0, 40, 2))
 
 
 class TestHierarchy:
