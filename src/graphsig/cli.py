@@ -21,6 +21,7 @@ when the command does not take them.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from typing import List, Optional
@@ -29,8 +30,7 @@ import numpy as np
 
 from . import io as gio
 from .exceptions import BadParameter, GraphSigError
-from .filters import design as design_bank
-from .filters import filter_analysis, frame_bounds
+from .filters import _DESIGNS, design, filter_analysis, frame_bounds
 from .generators import (comet, community, erdos_renyi, grid2d, path, ring,
                          sbm, sensor, swiss_roll, two_moons)
 from .graphs import LaplacianKind
@@ -173,25 +173,17 @@ def _cmd_fourier(args, G, _f):
 # filter banks
 # ---------------------------------------------------------------------------
 
-_DESIGN_FLAGS = {
-    "heat": {"tau": "tau"},
-    "mexican_hat": {"scales": "n_scales"},
-    "itersine": {"filters": "n_filters"},
-    "regular": {"degree": "degree"},
-    "gabor": {"shifts": "n_shifts", "width": "width"},
-    "expwin": {"band": "band", "transition": "transition"},
-    "warped_translates": {"filters": "n_filters"},
-}
+#: Design flag (its ``args`` name) -> the design parameter it sets.
+_DESIGN_FLAGS = {"tau": "tau", "scales": "n_scales", "filters": "n_filters",
+                 "degree": "degree", "shifts": "n_shifts", "width": "width",
+                 "band": "band", "transition": "transition"}
 
 
 def _design_params(args) -> dict:
-    mapping = _DESIGN_FLAGS.get(args.design, {})
-    params = {}
-    for flag, kwarg in mapping.items():
-        val = getattr(args, flag, None)
-        if val is not None:
-            params[kwarg] = val
-    return params
+    """The set design flags that ``args.design``'s builder takes."""
+    takes = inspect.signature(_DESIGNS[args.design][0]).parameters
+    return {kwarg: getattr(args, flag) for flag, kwarg in _DESIGN_FLAGS.items()
+            if kwarg in takes and getattr(args, flag) is not None}
 
 
 def _build_bank(args, G):
@@ -207,7 +199,7 @@ def _build_bank(args, G):
         estimate_lmax(G)
     if args.bank:
         return gio.load_filter_bank(args.bank)
-    return design_bank(args.design, G, **_design_params(args))
+    return design(args.design, G, **_design_params(args))
 
 
 def _cmd_filter(args, G, f):
@@ -339,7 +331,7 @@ def _cmd_plot_filters(args, G, _f):
     else:
         if args.design == "warped_translates":
             raise _UsageError("warped_translates needs --graph, not --lmax")
-        bank = design_bank(args.design, args.lmax, **_design_params(args))
+        bank = design(args.design, args.lmax, **_design_params(args))
     export_filter_svg(bank, grid_size=args.grid, path=args.out)
     a, b = frame_bounds(bank)
     return (args.out, {"design": args.design, "kernels": len(bank)},
@@ -378,7 +370,7 @@ def _add_graph_args(p):
 
 def _add_design_args(p, include_bank=True):
     p.add_argument("--design", default="itersine",
-                   choices=sorted(_DESIGN_FLAGS),
+                   choices=sorted(_DESIGNS),
                    help="filter bank design")
     if include_bank:
         p.add_argument("--bank", default=None,

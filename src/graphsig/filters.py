@@ -1,10 +1,12 @@
 """Spectral filter banks and polynomial-accelerated filtering.
 
 A kernel is a scalar function of the Laplacian eigenvalue; a filter bank is a
-list of kernels sharing one spectral interval ``[0, lmax]``.  Banks built by
-the design functions carry a serializable descriptor (kind plus parameters),
-so they can be written to JSON and rebuilt bit-identically; banks wrapping
-arbitrary callables do not.
+list of kernels sharing one spectral interval ``[0, lmax]``.  ``_DESIGNS`` is
+the one registry of designs, read by :func:`design`, by
+:func:`bank_from_descriptor` and for the CLI's ``--design``.  A designed bank
+carries the descriptor ``{"kind", "lmax", "params"}``, so it is written to
+JSON and rebuilt bit-identically; a bank of arbitrary callables is not.  A
+graph or bank argument of the wrong type raises ``BadParameter``.
 
 Filtering runs either through the exact eigenbasis or through a Chebyshev
 polynomial approximation that only touches the sparse Laplacian, which is the
@@ -93,6 +95,13 @@ def _resolve_lmax(G_or_lmax) -> float:
     return _check_real("lmax", G_or_lmax, positive=True)
 
 
+def _designed(kind: str, lmax: float, kernels, **params) -> FilterBank:
+    """A bank with the descriptor ``{"kind", "lmax", "params"}`` from which
+    :func:`bank_from_descriptor` rebuilds it."""
+    return FilterBank(kernels, lmax,
+                      design={"kind": kind, "lmax": lmax, "params": params})
+
+
 # ---------------------------------------------------------------------------
 # Designs
 # ---------------------------------------------------------------------------
@@ -106,9 +115,7 @@ def heat(G_or_lmax, tau: float = 10.0) -> FilterBank:
     tau = _check_real("tau", tau)
     kern = Kernel(lambda x, t=tau, lm=lmax: np.exp(-t * x / lm),
                   label=f"heat(tau={tau:g})")
-    return FilterBank([kern], lmax,
-                      design={"kind": "heat", "lmax": lmax,
-                              "params": {"tau": tau}})
+    return _designed("heat", lmax, [kern], tau=tau)
 
 
 def _mexican_mother(x: np.ndarray) -> np.ndarray:
@@ -132,9 +139,7 @@ def mexican_hat(G_or_lmax, n_scales: int = 6) -> FilterBank:
     for j, t in enumerate(scales):
         kernels.append(Kernel(lambda x, tt=t: _mexican_mother(tt * x),
                               label=f"scale {j} (t={t:.4g})"))
-    return FilterBank(kernels, lmax,
-                      design={"kind": "mexican_hat", "lmax": lmax,
-                              "params": {"n_scales": n_scales}})
+    return _designed("mexican_hat", lmax, kernels, n_scales=n_scales)
 
 
 def _itersine_window(t: np.ndarray) -> np.ndarray:
@@ -176,9 +181,7 @@ def itersine(G_or_lmax, n_filters: int = 6) -> FilterBank:
     lmax = _resolve_lmax(G_or_lmax)
     n_filters = _check_int("n_filters", n_filters, minimum=1)
     kernels = _uniform_translate_kernels(n_filters, warp=None, lmax=lmax)
-    return FilterBank(kernels, lmax,
-                      design={"kind": "itersine", "lmax": lmax,
-                              "params": {"n_filters": n_filters}})
+    return _designed("itersine", lmax, kernels, n_filters=n_filters)
 
 
 def regular_hp_lp(G_or_lmax, degree: int = 3) -> FilterBank:
@@ -202,9 +205,7 @@ def regular_hp_lp(G_or_lmax, degree: int = 3) -> FilterBank:
                 label="lowpass")
     hp = Kernel(lambda x: np.sin(0.25 * np.pi * (1.0 + profile(x))),
                 label="highpass")
-    return FilterBank([lp, hp], lmax,
-                      design={"kind": "regular", "lmax": lmax,
-                              "params": {"degree": degree}})
+    return _designed("regular", lmax, [lp, hp], degree=degree)
 
 
 def gabor(G_or_lmax, n_shifts: int = 8, width: Optional[float] = None,
@@ -220,19 +221,12 @@ def gabor(G_or_lmax, n_shifts: int = 8, width: Optional[float] = None,
     w = (_check_real("width", width, positive=True) if width is not None
          else lmax / n_shifts)
     centers = np.linspace(0.0, lmax, n_shifts)
-    if mother is None:
-        def mk(c):
-            return Kernel(lambda x, cc=c: np.exp(-(((np.asarray(x) - cc) / w)
-                                                   ** 2)),
-                          label=f"shift {c:.4g}")
-        design = {"kind": "gabor", "lmax": lmax,
-                  "params": {"n_shifts": n_shifts, "width": w}}
-    else:
-        def mk(c):
-            return Kernel(lambda x, cc=c: mother(np.asarray(x) - cc),
-                          label=f"shift {c:.4g}")
-        design = None
-    return FilterBank([mk(c) for c in centers], lmax, design=design)
+    window = (lambda u: np.exp(-((u / w) ** 2))) if mother is None else mother
+    kernels = [Kernel(lambda x, cc=c: window(np.asarray(x) - cc),
+                      label=f"shift {c:.4g}") for c in centers]
+    if mother is not None:
+        return FilterBank(kernels, lmax)
+    return _designed("gabor", lmax, kernels, n_shifts=n_shifts, width=w)
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
@@ -265,26 +259,20 @@ def expwin(G_or_lmax, band: float = 0.2, transition: float = 0.5) -> FilterBank:
         lambda x: _smooth_step(((1.0 + transition) * b - np.asarray(x, float))
                                / (transition * b)),
         label=f"expwin(band={band:g})")
-    return FilterBank([kern], lmax,
-                      design={"kind": "expwin", "lmax": lmax,
-                              "params": {"band": band,
-                                         "transition": transition}})
+    return _designed("expwin", lmax, [kern], band=band, transition=transition)
 
 
-def _warp_from_knots(knots_x: np.ndarray, knots_y: np.ndarray):
-    return lambda x: np.interp(np.asarray(x, dtype=float), knots_x, knots_y)
-
-
-def _warped_bank(knots_x, knots_y, n_filters: int, lmax: float) -> FilterBank:
+def _warped_bank(lmax: float, knots_x, knots_y, n_filters: int) -> FilterBank:
+    """The translates of :func:`warped_translates` under the warp through
+    ``(knots_x, knots_y)``; rebuilds that design from its descriptor."""
+    n_filters = _check_int("n_filters", n_filters, minimum=1)
     knots_x = np.asarray(knots_x, dtype=float)
     knots_y = np.asarray(knots_y, dtype=float)
-    warp = _warp_from_knots(knots_x, knots_y)
-    kernels = _uniform_translate_kernels(n_filters, warp=warp, lmax=lmax)
-    design = {"kind": "warped_translates", "lmax": float(lmax),
-              "params": {"n_filters": int(n_filters),
-                         "knots_x": knots_x.tolist(),
-                         "knots_y": knots_y.tolist()}}
-    return FilterBank(kernels, float(lmax), design=design)
+    lmax = float(lmax)
+    kernels = _uniform_translate_kernels(
+        n_filters, warp=lambda x: np.interp(x, knots_x, knots_y), lmax=lmax)
+    return _designed("warped_translates", lmax, kernels, n_filters=n_filters,
+                     knots_x=knots_x.tolist(), knots_y=knots_y.tolist())
 
 
 def warped_translates(G: Graph, n_filters: int = 6) -> FilterBank:
@@ -296,15 +284,20 @@ def warped_translates(G: Graph, n_filters: int = 6) -> FilterBank:
     eigenvalues instead of the same spectral length.  Needs the Fourier
     basis.  The warp knots are stored in the descriptor, so a saved bank
     reloads without the graph.
+
+    Raises:
+        BadParameter: ``G`` is not a :class:`Graph`, or a bad ``n_filters``.
     """
-    n_filters = _check_int("n_filters", n_filters, minimum=1)
+    if not isinstance(G, Graph):
+        raise BadParameter(
+            f"warped_translates needs a Graph, got {type(G).__name__}")
     S = get_spectral(G, "warped_translates")
     e = np.asarray(S.e, dtype=float)
     n = e.size
     if n < 2 or S.lmax <= 0:
         # Degenerate spectrum: fall back to the unwarped tiling on [0, 1].
-        return _warped_bank([0.0, 1.0], [0.0, 1.0], n_filters,
-                            max(S.lmax, 1.0))
+        return _warped_bank(max(S.lmax, 1.0), [0.0, 1.0], [0.0, 1.0],
+                            n_filters)
     target = np.arange(n) / (n - 1)
     # Repeated eigenvalues would make the interpolant ambiguous; keep the
     # last (largest) target value for each distinct eigenvalue.
@@ -315,22 +308,33 @@ def warped_translates(G: Graph, n_filters: int = 6) -> FilterBank:
         ky = np.array([0.0, 1.0])
     else:
         ky = (ky - ky[0]) / (ky[-1] - ky[0])
-    return _warped_bank(kx, ky, n_filters, S.lmax)
+    return _warped_bank(S.lmax, kx, ky, n_filters)
 
 
+#: Every design kind and its two builders: :func:`design` calls the first
+#: with a graph or a number, :func:`bank_from_descriptor` the second with the
+#: stored ``lmax`` and ``params``.  They are one function except for
+#: ``warped_translates``, whose descriptor stores its warp knots.
 _DESIGNS = {
-    "heat": heat,
-    "mexican_hat": mexican_hat,
-    "itersine": itersine,
-    "regular": regular_hp_lp,
-    "gabor": gabor,
-    "expwin": expwin,
+    "heat": (heat, heat),
+    "mexican_hat": (mexican_hat, mexican_hat),
+    "itersine": (itersine, itersine),
+    "regular": (regular_hp_lp, regular_hp_lp),
+    "gabor": (gabor, gabor),
+    "expwin": (expwin, expwin),
+    "warped_translates": (warped_translates, _warped_bank),
 }
 
 
-def _build(builder, kind: str, first, params: dict) -> FilterBank:
-    """``builder(first, **params)``; parameters the builder does not take,
-    or lacks, raise ``BadParameter`` instead of a bare ``TypeError``."""
+def _build(kind, rebuild: bool, first, params, unknown: str) -> FilterBank:
+    """``builder(first, **params)`` with ``kind``'s builder from ``_DESIGNS``;
+    an unknown or unhashable ``kind`` (``unknown`` ends the message) and
+    parameters the builder lacks or does not take raise ``BadParameter``."""
+    try:
+        builder = _DESIGNS[kind][rebuild]
+    except (KeyError, TypeError) as exc:
+        raise BadParameter(
+            f"unknown filter design {kind!r}{unknown}") from exc
     try:
         bound = inspect.signature(builder).bind(first, **params)
     except TypeError as exc:
@@ -342,28 +346,15 @@ def _build(builder, kind: str, first, params: dict) -> FilterBank:
 def design(kind: str, G_or_lmax, **params) -> FilterBank:
     """Build a named filter bank; the string front end used by the CLI.
 
-    ``kind`` is one of ``heat``, ``mexican_hat``, ``itersine``, ``regular``,
-    ``gabor``, ``expwin`` or ``warped_translates`` (the latter requires a
-    graph with a computed Fourier basis).
+    ``kind`` names a design function (``regular`` is :func:`regular_hp_lp`);
+    ``warped_translates`` requires a graph with a computed Fourier basis.
 
     Raises:
         BadParameter: An unknown ``kind`` or parameter, or a number for
             ``warped_translates``.
     """
-    builder = (warped_translates if kind == "warped_translates"
-               else _DESIGNS.get(kind))
-    if builder is None:
-        raise BadParameter(
-            f"unknown filter design {kind!r}; choose from "
-            f"{sorted(_DESIGNS) + ['warped_translates']}")
-    if builder is warped_translates and not isinstance(G_or_lmax, Graph):
-        raise BadParameter("warped_translates needs a Graph, not a number")
-    return _build(builder, kind, G_or_lmax, params)
-
-
-def _warped_from_descriptor(lmax, knots_x, knots_y, n_filters):
-    return _warped_bank(knots_x, knots_y,
-                        _check_int("n_filters", n_filters, minimum=1), lmax)
+    return _build(kind, False, G_or_lmax, params,
+                  f"; choose from {sorted(_DESIGNS)}")
 
 
 def bank_from_descriptor(desc: dict) -> FilterBank:
@@ -382,11 +373,7 @@ def bank_from_descriptor(desc: dict) -> FilterBank:
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParameter(f"malformed filter descriptor: {desc!r}") from exc
     lmax = _check_real("lmax", lmax, positive=True)
-    builder = (_warped_from_descriptor if kind == "warped_translates"
-               else _DESIGNS.get(kind))
-    if builder is None:
-        raise BadParameter(f"unknown filter design {kind!r} in descriptor")
-    return _build(builder, kind, lmax, params)
+    return _build(kind, True, lmax, params, " in descriptor")
 
 
 # ---------------------------------------------------------------------------
@@ -519,6 +506,13 @@ def _bands(resp: np.ndarray):
     return [(a, b, J) for (a, b), J in bands.items()]
 
 
+def _check_bank(bank) -> None:
+    """Refuse anything but a :class:`FilterBank` where a bank is first read."""
+    if not isinstance(bank, FilterBank):
+        raise BadParameter(
+            f"bank must be a FilterBank, got {type(bank).__name__}")
+
+
 def _bank_operator(G: Graph, bank: FilterBank, method: str, order: int):
     """Prepare a bank on a graph once: the one routine behind all filtering.
 
@@ -536,6 +530,7 @@ def _bank_operator(G: Graph, bank: FilterBank, method: str, order: int):
     whole of ``U``.  A Chebyshev application costs ``order`` sparse products
     for the whole bank.
     """
+    _check_bank(bank)
     if method == "exact":
         S = get_spectral(G, "exact filtering")
         resp = bank.evaluate(S.e)
@@ -616,11 +611,12 @@ def filter_synthesis(G: Graph, bank: FilterBank, coefficients,
         ``(N, k)`` signals, squeezed to 1-D when ``k == 1``.
     """
     arr = _as_signal(G, coefficients, "coefficients").reshape(G.N, -1)
+    apply = _bank_operator(G, bank, method, order)
     if arr.shape[1] % len(bank) != 0:
         raise ShapeMismatch(
             f"coefficients must be (N={G.N}, {len(bank)}*k), got shape "
             f"{np.asarray(coefficients).shape}")
-    return _squeezed(_bank_operator(G, bank, method, order)(arr, adjoint=True))
+    return _squeezed(apply(arr, adjoint=True))
 
 
 def _squeezed(out: np.ndarray) -> np.ndarray:

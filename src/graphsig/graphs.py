@@ -186,7 +186,8 @@ def graph_from_weights(weights, directed="auto", name: str = "",
     Raises:
         BadParameter: If the weights are not numeric.
         NonSquareMatrix: If the matrix is not square.
-        NonFiniteValue: If any entry is NaN or infinite.
+        NonFiniteValue: If any entry is NaN or infinite, or twice the
+            largest row or column sum (off the diagonal) is not finite.
         NegativeWeight: If any entry is negative.
         EmptyGraph: If the matrix has zero rows.
     """
@@ -207,6 +208,11 @@ def graph_from_weights(weights, directed="auto", name: str = "",
         M = sp.csr_array(M - sp.diags_array(diag))
         dropped = True
     M.eliminate_zeros()
+    # 2 dmax bounds the spectrum; past the float range every solver overflows.
+    with np.errstate(over="ignore"):
+        if not np.isfinite(2.0 * max(M.sum(0).max(), M.sum(1).max())):
+            raise NonFiniteValue("weight matrix degrees overflow: twice the "
+                                 "largest row or column sum is not finite")
 
     asym = 0.0
     if M.nnz:
@@ -251,9 +257,11 @@ def _as_signal(G, f, label: str = "signal") -> np.ndarray:
     """A signal ``(N,)`` or block ``(N, k)`` as a float array, shape kept.
 
     ``G`` is the graph or its vertex count ``N``.  Raises ``BadParameter``
-    for non-numeric input, ``ShapeMismatch`` for any other shape and
-    ``NonFiniteValue`` for NaN or infinite entries.
+    for a ``G`` that is neither or for non-numeric input, ``ShapeMismatch``
+    for any other shape and ``NonFiniteValue`` for NaN or infinite entries.
     """
+    if not isinstance(G, (Graph, numbers.Integral)) or isinstance(G, bool):
+        raise BadParameter(f"expected a Graph, got {type(G).__name__}")
     n = G.N if isinstance(G, Graph) else int(G)
     arr = _float_array(f, label)
     if arr.ndim not in (1, 2) or arr.shape[0] != n:

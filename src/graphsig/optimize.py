@@ -18,8 +18,9 @@ import scipy.sparse.linalg as spl
 
 from .exceptions import BadParameter, NotTightFrame, ShapeMismatch, SolverFailure
 # filter_analysis and filter_synthesis stay importable from this module.
-from .filters import (FilterBank, _bank_operator, _squeezed,  # noqa: F401
-                      filter_analysis, filter_synthesis, frame_bounds)
+from .filters import (FilterBank, _bank_operator, _check_bank,  # noqa: F401
+                      _squeezed, filter_analysis, filter_synthesis,
+                      frame_bounds)
 from .graphs import (Graph, _as_1d_signal, _as_signal, _check_int,
                      _check_real, _float_array)
 from .operators import incidence
@@ -251,6 +252,7 @@ def _soft(v: np.ndarray, thresh: float) -> np.ndarray:
 
 
 def _bank_bounds(G: Graph, bank: FilterBank):
+    _check_bank(bank)
     eigs = G._spectral.e if G._spectral is not None else None
     lmax = max(bank.lmax, get_lmax(G, "frame-based denoising"))
     return frame_bounds(bank, lmax=lmax, eigenvalues=eigs)
@@ -268,12 +270,12 @@ def wavelet_denoise(G: Graph, bank: FilterBank, y, tau: float,
         ``(x, SolverReport)``; single-shot, so ``iterations == 1``.
     """
     tau = _check_real("tau", tau)
+    y = _as_signal(G, y)
     a, b = _bank_bounds(G, bank)
     if abs(b - a) > TIGHTNESS_TOL * max(1.0, abs(b)):
         raise NotTightFrame(
             f"frame bounds A={a:.6g}, B={b:.6g} differ; wavelet_denoise "
             "needs a tight frame — use solve_bpdn instead")
-    y = _as_signal(G, y)
     apply = _bank_operator(G, bank, method, order)
     coef = apply(y.reshape(G.N, -1))
     shrunk = _soft(coef, tau)

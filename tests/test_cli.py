@@ -524,3 +524,17 @@ class TestTopLevel:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+HELP_TEXTS = Path(__file__).parent / "cli_help"
+
+
+@pytest.mark.parametrize("command", ["filter", "denoise", "plot filters"])
+def test_help_text_is_pinned(command, capsys, monkeypatch):
+    # Recorded with a fixed width, so a design choice or a flag that moves,
+    # appears or disappears shows up here.  argparse's layout is Python's:
+    # a Python whose argparse formats help differently needs new records.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(*command.split(), "--help") == 0
+    expected = (HELP_TEXTS / f"{command.replace(' ', '_')}.txt").read_text()
+    assert capsys.readouterr().out == expected

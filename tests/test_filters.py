@@ -1,5 +1,6 @@
 """Filter banks, Chebyshev machinery and frame identities."""
 
+import argparse
 import json
 
 import numpy as np
@@ -8,6 +9,9 @@ from numpy.testing import assert_allclose
 
 import graphsig as gs
 from graphsig import exceptions as exc
+from graphsig import filters
+from graphsig import io as gs_io
+from graphsig.cli import build_parser
 
 
 GRID = np.linspace(0.0, 1.0, 501)
@@ -333,3 +337,43 @@ class TestFrameBounds:
             gs.frame_bounds(bank, grid_size=1)
         with pytest.raises(exc.BadParameter):
             gs.frame_bounds(bank, lmax=-2.0)
+
+
+def _design_choices(*command):
+    """The ``--design`` choices of a ``graphsig`` subcommand."""
+    parser = build_parser()
+    for name in command:
+        parser = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)
+                      ).choices[name]
+    return next(a for a in parser._actions if a.dest == "design").choices
+
+
+class TestDesignRegistry:
+    """``design``, ``bank_from_descriptor`` and the CLI's ``--design`` read
+    one registry, so they offer one set of kinds."""
+
+    def test_one_set_of_kinds(self, sensor64):
+        kinds = set(filters._DESIGNS)
+        for command in (["filter"], ["denoise"], ["plot", "filters"]):
+            assert set(_design_choices(*command)) == kinds
+        for kind in kinds:
+            bank = gs.design(kind, sensor64)
+            assert bank.design["kind"] == kind
+            assert gs.bank_from_descriptor(bank.design).design == bank.design
+        for kind in ("mystery", "regular_hp_lp", "Heat"):
+            with pytest.raises(exc.BadParameter):
+                gs.design(kind, sensor64)
+            with pytest.raises(exc.BadParameter):
+                gs.bank_from_descriptor({"kind": kind, "lmax": 2.0})
+
+    @pytest.mark.parametrize("kind", sorted(filters._DESIGNS))
+    def test_every_kind_round_trips_bit_identically(self, kind, sensor64,
+                                                    tmp_path):
+        bank = gs.design(kind, sensor64)
+        path = tmp_path / "bank.json"
+        gs_io.save_filter_bank(path, bank)
+        back = gs_io.load_filter_bank(path)
+        assert back.design == bank.design and back.lmax == bank.lmax
+        for x in (np.linspace(0.0, bank.lmax, 1000), sensor64._spectral.e):
+            assert np.array_equal(back.evaluate(x), bank.evaluate(x))

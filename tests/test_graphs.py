@@ -39,6 +39,20 @@ class TestConstruction:
         with pytest.raises(exc.NonFiniteValue):
             gs.graph_from_weights([[0, np.nan], [np.nan, 0]])
 
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_overflowing_degrees_rejected(self, n, directed, capfd):
+        # Every entry is finite but twice the degree is not.  The spectral
+        # routines then raised a bare ValueError (n = 2), or returned an
+        # infinite lmax after LAPACK complained on stderr (n = 3).
+        W = np.full((n, n), 1e308)
+        with pytest.raises(exc.NonFiniteValue):
+            gs.graph_from_weights(W, directed=directed)
+        assert capfd.readouterr().err == ""
+        # Large finite degrees and huge self-loops, which are dropped, pass.
+        assert gs.estimate_lmax(gs.graph_from_weights(W / 8)) < np.inf
+        gs.graph_from_weights(np.eye(n) * 1e308 + 1.0)
+
     def test_empty_rejected(self):
         with pytest.raises(exc.EmptyGraph):
             gs.graph_from_weights(np.zeros((0, 0)))

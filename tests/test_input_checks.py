@@ -259,6 +259,28 @@ TYPED_REFUSALS = {
     "graph_from_weights-weights": (gs.graph_from_weights, gs.ring(4).W, "x"),
     "chebyshev_coeffs-kernel": (lambda v: gs.chebyshev_coeffs(v, 5, 2.0),
                                 np.exp, "x"),
+    # A wrong object where a graph, a bank or a design kind goes.
+    "warped_translates-graph": (gs.warped_translates, _ring(), 4.0),
+    "filter_analysis-graph": (
+        lambda v: gs.filter_analysis(v, gs.itersine(4.0, 4), np.ones(8)),
+        _ring(), "G"),
+    "tik_denoise-graph": (lambda v: gs.tik_denoise(v, np.ones(8), 1.0),
+                          _ring(), "G"),
+    "wavelet_denoise-graph": (
+        lambda v: gs.wavelet_denoise(v, gs.itersine(4.0, 4), np.ones(8), 0.1),
+        _ring(), "G"),
+    "filter_analysis-bank": (
+        lambda v: gs.filter_analysis(_ring(), v, np.ones(8)),
+        gs.itersine(4.0, 4), "b"),
+    "filter_synthesis-bank": (
+        lambda v: gs.filter_synthesis(_ring(), v, np.ones((8, 4))),
+        gs.itersine(4.0, 4), 5),
+    "solve_bpdn-bank": (lambda v: gs.solve_bpdn(_ring(), v, np.ones(8)),
+                        gs.itersine(4.0, 4), "b"),
+    "design-kind": (lambda v: gs.design(v, 2.0), "heat", ["heat"]),
+    "bank_from_descriptor-kind": (
+        lambda v: gs.bank_from_descriptor({"kind": v, "lmax": 2.0}),
+        "heat", ["heat"]),
 }
 
 
@@ -268,6 +290,13 @@ def test_wrong_kind_of_input_is_bad_parameter(name):
     with pytest.raises(exc.BadParameter):
         call(bad)
     call(good)
+
+
+def test_wrong_bank_is_refused_before_the_basis_is_asked_for():
+    # Without a Fourier basis this used to raise MissingFourierBasis, which
+    # names the wrong cause.
+    with pytest.raises(exc.BadParameter):
+        gs.filter_analysis(gs.ring(8), "b", np.ones(8))
 
 
 def test_sbm_checks_blocks_and_total():
