@@ -114,7 +114,9 @@ def prox_tv(G: Graph, y, gamma: float, max_iter: int = 1000,
                               converged=True, objective_history=[obj])
         return (x[:, 0] if was_1d else x), report
 
-    step = 1.0 / _lmax_bound(sp.csr_array(D.T @ D))
+    # One transposed view per call: D.T builds a new csc view each time.
+    Dt = D.T
+    step = 1.0 / _lmax_bound(sp.csr_array(Dt @ D))
     Dy = D @ arr
 
     def primal(x):
@@ -136,9 +138,9 @@ def prox_tv(G: Graph, y, gamma: float, max_iter: int = 1000,
     it = 0
     prev_obj = np.inf
     for it in range(1, max_iter + 1):
-        grad_dual = D @ (arr - D.T @ z)
+        grad_dual = D @ (arr - Dt @ z)
         p_new = np.clip(z + step * grad_dual, -gamma, gamma)
-        dtp = D.T @ p_new
+        dtp = Dt @ p_new
         x = arr - dtp
         obj = primal(x)
         gap = obj - dual(p_new, dtp)

@@ -35,16 +35,16 @@ def rng():
 
 @pytest.fixture(scope="session")
 def fresh_interpreter():
-    """Run a snippet in a new interpreter with one BLAS thread and return its
-    last line of output, parsed as JSON.  Memory and timing gates use it, so
-    that the test process's own heap and threads do not enter the reading.
-    A memory snippet should read its peak as ``VmHWM`` from
-    ``/proc/self/status``: Linux carries ``ru_maxrss`` over the ``exec``,
-    so it would start at this process's peak.
+    """Run a snippet in a new interpreter with one BLAS thread (or
+    ``threads``) and return its last line of output, parsed as JSON.  Memory
+    and timing gates use it, so that the test process's own heap and threads
+    do not enter the reading.  A memory snippet should read its peak as
+    ``VmHWM`` from ``/proc/self/status``: Linux carries ``ru_maxrss`` over
+    the ``exec``, so it would start at this process's peak.
     """
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
 
-    def run(snippet: str):
+    def run(snippet: str, threads: int = 1):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
         proc = subprocess.run([sys.executable, "-c", snippet], env=env,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

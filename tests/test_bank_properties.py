@@ -8,13 +8,15 @@ kernel's band of eigenvectors, so it is also checked on kernels with random
 supports against dense filter matrices.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import graphsig as gs
-from graphsig import optimize
+from graphsig import filters, optimize
 
 from oracles import dense_bank, dense_polynomial, reference_bpdn
 
@@ -116,6 +118,102 @@ def test_polynomial_kernels_match_dense_powers(case, data):
     got = gs.filter_analysis(G, bank, F, method="chebyshev", order=order)
     want = dense_polynomial(G.L.toarray() / lmax, a) @ F
     assert_allclose(got, want, rtol=0, atol=1e-10 * np.abs(want).max())
+
+
+def _block_sizes(order, drawn):
+    """Term-buffer sizes that split a series of ``order + 1`` terms: two, the
+    smallest that does not divide ``order + 1`` and one drawn size."""
+    odd = [b for b in range(3, order + 1) if (order + 1) % b]
+    return sorted({2, drawn, *odd[:1]})
+
+
+@PROPERTY_SETTINGS
+@given(cases(), st.data())
+def test_bank_in_several_term_blocks(case, data):
+    G, bank, F, order, rng = case
+    lmax = gs.estimate_lmax(G)
+    n, k, m = G.N, F.shape[1], len(bank)
+    # Polynomial kernels of degree at most the order, so the series is exact
+    # and dense matrix powers are the oracle.
+    a = [rng.uniform(-1.0, 1.0, data.draw(st.integers(0, order)) + 1)
+         for _ in range(m)]
+    poly = gs.FilterBank(
+        [gs.Kernel(lambda x, aj=aj: np.polynomial.polynomial.polyval(
+            x / lmax, aj)) for aj in a], lmax)
+    X = rng.standard_normal((n, m * k))
+    dense = [dense_polynomial(G.L.toarray() / lmax, aj) for aj in a]
+    want_a = np.hstack([P @ F for P in dense])
+    want_s = sum(P @ X[:, j * k:(j + 1) * k] for j, P in enumerate(dense))
+
+    def run():
+        A = gs.filter_analysis(G, poly, F, method="chebyshev", order=order)
+        S = gs.filter_synthesis(G, poly, X, method="chebyshev",
+                                order=order).reshape(n, k)
+        return A, S
+
+    one_a, one_s = run()   # every term fits the default buffer
+    for size in _block_sizes(order, data.draw(st.integers(2, order + 1))):
+        with mock.patch.object(filters, "_CHEB_BUFFER_BYTES",
+                               size * 8 * n * k):
+            got_a, got_s = run()
+            coeffs = [gs.chebyshev_coeffs(kern, order, lmax) for kern in poly]
+            loop_a = [gs.chebyshev_apply(G, c, F) for c in coeffs]
+            loop_s = sum(gs.chebyshev_apply(G, c, B)
+                         for c, B in zip(coeffs, np.hsplit(X, m)))
+        for j in range(m):
+            assert np.array_equal(got_a[:, j * k:(j + 1) * k], loop_a[j])
+        for got, want in ((got_a, want_a), (got_s, want_s), (got_s, loop_s)):
+            assert_allclose(got, want, rtol=0,
+                            atol=1e-12 * max(np.abs(want).max(), 1.0))
+        for got, one in ((got_a, one_a), (got_s, one_s)):
+            assert_allclose(got, one, rtol=0, atol=1e-13 * np.abs(one).max())
+
+
+def test_chebyshev_bank_on_no_columns():
+    G = gs.sensor(20, seed=0)
+    bank = gs.itersine(G, 3)
+    # With no columns a term counts as 8 bytes, so these budgets hold 2, 4
+    # and all 10 terms.
+    for size in (2, 4, 10):
+        with mock.patch.object(filters, "_CHEB_BUFFER_BYTES", 8 * size):
+            A = gs.filter_analysis(G, bank, np.zeros((20, 0)),
+                                   method="chebyshev", order=9)
+            S = gs.filter_synthesis(G, bank, np.zeros((20, 0)),
+                                    method="chebyshev", order=9)
+        assert A.shape == S.shape == (20, 0)
+
+
+_THREADS_SNIPPET = """
+import hashlib, json
+import numpy as np
+import graphsig as gs
+from graphsig import filters
+
+G = gs.sensor(300, seed=0)
+bank = gs.itersine(G, 8)
+rng = np.random.default_rng(0)
+digests = {}
+for budget in (filters._CHEB_BUFFER_BYTES, 7 * 8 * 300 * 3):
+    filters._CHEB_BUFFER_BYTES = budget
+    for k in (1, 3):
+        F = rng.standard_normal((300, k))
+        A = gs.filter_analysis(G, bank, F, method="chebyshev", order=40)
+        S = gs.filter_synthesis(G, bank, A, method="chebyshev", order=40)
+        digests[f"{budget}-{k}"] = [hashlib.sha256(v.tobytes()).hexdigest()
+                                    for v in (A, S)]
+    c, _ = gs.solve_bpdn(G, bank, rng.standard_normal(300), lam=0.05,
+                         max_iter=30, method="chebyshev", order=40)
+    digests[f"{budget}-bpdn"] = hashlib.sha256(c.tobytes()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_chebyshev_bits_do_not_depend_on_blas_threads(fresh_interpreter):
+    # The bank's coefficient products go through BLAS; the sparse paths must
+    # still give the same bits at any thread count, in one and in several
+    # term blocks.
+    assert fresh_interpreter(_THREADS_SNIPPET, threads=1) \
+        == fresh_interpreter(_THREADS_SNIPPET, threads=2)
 
 
 class _CountingOperator:

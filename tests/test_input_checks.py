@@ -277,6 +277,10 @@ TYPED_REFUSALS = {
         gs.itersine(4.0, 4), 5),
     "solve_bpdn-bank": (lambda v: gs.solve_bpdn(_ring(), v, np.ones(8)),
                         gs.itersine(4.0, 4), "b"),
+    "chebyshev_apply-coeffs": (
+        lambda v: gs.chebyshev_apply(_ring(), v, np.ones(8)),
+        gs.chebyshev_coeffs(np.exp, 5, 4.5), "c"),
+    "frame_bounds-bank": (gs.frame_bounds, gs.itersine(4.0, 4), "b"),
     "design-kind": (lambda v: gs.design(v, 2.0), "heat", ["heat"]),
     "bank_from_descriptor-kind": (
         lambda v: gs.bank_from_descriptor({"kind": v, "lmax": 2.0}),

@@ -112,6 +112,27 @@ class TestSignals:
         out = gio.load_signal(p)
         assert out.shape == (1,) and out[0] == 4.25
 
+    @pytest.mark.parametrize("block", [gio._CSV_BLOCK, 5])
+    def test_bytes_equal_savetxt(self, tmp_path, rng, block, monkeypatch):
+        # A block of 5 values splits every array below into several writes.
+        monkeypatch.setattr(gio, "_CSV_BLOCK", block)
+        arrays = [rng.standard_normal(40), rng.standard_normal((9, 3)),
+                  rng.standard_normal((4, 7)) * 1e-300, np.zeros(0),
+                  np.zeros((3, 0)), np.zeros((0, 2)), np.arange(6),
+                  np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324])]
+        for i, arr in enumerate(arrays):
+            got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+            gio.save_signal(got, arr)
+            np.savetxt(want, arr, fmt="%.17g", delimiter=",")
+            assert got.read_bytes() == want.read_bytes()
+
+    def test_compressed_suffix_still_compresses(self, tmp_path, rng):
+        v = rng.standard_normal(10)
+        p = tmp_path / "v.csv.gz"
+        gio.save_signal(p, v)
+        assert p.read_bytes()[:2] == b"\x1f\x8b"
+        assert np.array_equal(gio.load_signal(p), v)
+
     def test_rejects_3d(self, tmp_path):
         with pytest.raises(exc.BadParameter):
             gio.save_signal(tmp_path / "x.csv", np.zeros((2, 2, 2)))
