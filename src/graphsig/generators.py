@@ -20,7 +20,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 from .exceptions import (
     BadParameter,
@@ -258,6 +257,9 @@ def _knn_weights(features: np.ndarray, k: int, sigma: Optional[float]):
     k = _check_int("k", k, minimum=1)
     if k >= m:
         raise KTooLarge(f"k={k} but there are only {m - 1} other points")
+    # Imported here: scipy.spatial, with the scipy.special it loads, adds
+    # about 0.13 s to start-up, and only the point-cloud generators use it.
+    from scipy.spatial import cKDTree
     dist, idx = cKDTree(features).query(features, k=k + 1)
     # Drop each point's self-match.  Among repeated points the query may not
     # return the point itself; such a row drops its farthest neighbour.
@@ -309,6 +311,7 @@ def nn_graph(points, k: Optional[int] = None, epsilon: Optional[float] = None,
         W, used_sigma = _knn_weights(pts, k, sigma)
     else:
         epsilon = _check_real("epsilon", epsilon, positive=True)
+        from scipy.spatial import cKDTree
         tree = cKDTree(pts)
         pairs = tree.query_pairs(epsilon, output_type="ndarray")
         if pairs.size:

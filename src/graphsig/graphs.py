@@ -253,6 +253,20 @@ def _float_array(x, label: str) -> np.ndarray:
         raise BadParameter(f"{label} must be numeric: {exc}") from exc
 
 
+def _check_type(label: str, value, cls):
+    """``value`` itself; ``BadParameter`` for anything but a ``cls``, raised
+    where an entry point first reads its graph, bank or hierarchy."""
+    if not isinstance(value, cls):
+        raise BadParameter(
+            f"{label} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _check_graph(G) -> Graph:
+    """``G`` itself; ``BadParameter`` for anything but a :class:`Graph`."""
+    return _check_type("graph", G, Graph)
+
+
 def _as_signal(G, f, label: str = "signal") -> np.ndarray:
     """A signal ``(N,)`` or block ``(N, k)`` as a float array, shape kept.
 
@@ -260,9 +274,10 @@ def _as_signal(G, f, label: str = "signal") -> np.ndarray:
     for a ``G`` that is neither or for non-numeric input, ``ShapeMismatch``
     for any other shape and ``NonFiniteValue`` for NaN or infinite entries.
     """
-    if not isinstance(G, (Graph, numbers.Integral)) or isinstance(G, bool):
-        raise BadParameter(f"expected a Graph, got {type(G).__name__}")
-    n = G.N if isinstance(G, Graph) else int(G)
+    if isinstance(G, numbers.Integral) and not isinstance(G, bool):
+        n = int(G)
+    else:
+        n = _check_graph(G).N
     arr = _float_array(f, label)
     if arr.ndim not in (1, 2) or arr.shape[0] != n:
         raise ShapeMismatch(
@@ -358,13 +373,15 @@ def laplacian(G: Graph, kind=None) -> sp.csr_array:
         The sparse Laplacian, also stored as ``G.L``.
 
     Raises:
-        BadParameter: ``kind`` names no :class:`LaplacianKind`.
+        BadParameter: ``G`` is not a :class:`Graph`, or ``kind`` names no
+            :class:`LaplacianKind`.
         KindMismatch: Undirected kind requested for a directed graph.
         ZeroDegreeVertex: Degree-normalized form with an isolated in/out side.
         NotStronglyConnected: Distribution-normalized form on a graph whose
             random walk is not irreducible.
         ZeroOutDegree: Distribution-normalized form with a sink vertex.
     """
+    _check_graph(G)
     if kind is None:
         kind = G.lap_kind or (
             LaplacianKind.COMBINATORIAL_DIRECTED if G.directed
@@ -445,7 +462,7 @@ def stationary_distribution(G: Graph) -> DirectedData:
         NotConverged: If the iteration cap is reached; the message carries the
             last residual.
     """
-    if G._directed_data is not None:
+    if _check_graph(G)._directed_data is not None:
         return G._directed_data
 
     d_out = np.asarray(G.W.sum(axis=1)).ravel()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graphs import Graph, _as_signal
+from .graphs import Graph, _as_signal, _check_graph
 
 
 @dataclass
@@ -36,7 +36,7 @@ class IncidenceOperator:
 
 def incidence(G: Graph) -> IncidenceOperator:
     """Build (or fetch the cached) incidence operator of a graph."""
-    if G._incidence is not None:
+    if _check_graph(G)._incidence is not None:
         return G._incidence
     coo = (G.W if G.directed else sp.triu(G.W, k=1)).tocoo()
     order = np.lexsort((coo.col, coo.row))

@@ -18,11 +18,10 @@ import scipy.sparse.linalg as spl
 
 from .exceptions import BadParameter, NotTightFrame, ShapeMismatch, SolverFailure
 # filter_analysis and filter_synthesis stay importable from this module.
-from .filters import (FilterBank, _bank_operator, _check_bank,  # noqa: F401
-                      _squeezed, filter_analysis, filter_synthesis,
-                      frame_bounds)
+from .filters import (FilterBank, _bank_operator, _squeezed,  # noqa: F401
+                      filter_analysis, filter_synthesis, frame_bounds)
 from .graphs import (Graph, _as_1d_signal, _as_signal, _check_int,
-                     _check_real, _float_array)
+                     _check_real, _check_type, _float_array)
 from .operators import incidence
 from .spectral import _lmax_bound, _require_symmetric, get_lmax
 
@@ -254,7 +253,7 @@ def _soft(v: np.ndarray, thresh: float) -> np.ndarray:
 
 
 def _bank_bounds(G: Graph, bank: FilterBank):
-    _check_bank(bank)
+    _check_type("bank", bank, FilterBank)
     eigs = G._spectral.e if G._spectral is not None else None
     lmax = max(bank.lmax, get_lmax(G, "frame-based denoising"))
     return frame_bounds(bank, lmax=lmax, eigenvalues=eigs)

@@ -14,7 +14,8 @@ import numpy as np
 
 from .exceptions import BadParameter, MissingCoordinates
 from .filters import FilterBank
-from .graphs import Graph, _as_1d_signal, _check_int, _check_real
+from .graphs import (Graph, _as_1d_signal, _check_graph, _check_int,
+                     _check_real, _check_type)
 from .operators import incidence
 
 #: Perceptually ordered dark-to-bright map used for vertex colors.
@@ -71,7 +72,7 @@ class PlotStyle:
         mapping = {"vertex_size": "vertex_radius", "edge_width": "edge_width",
                    "colormap": "colormap"}
         for src, dst in mapping.items():
-            if src in G.plotting:
+            if src in _check_graph(G).plotting:
                 kwargs[dst] = G.plotting[src]
         return cls(**kwargs)
 
@@ -127,11 +128,12 @@ def export_graph_svg(G: Graph, signal=None, style: Optional[PlotStyle] = None,
         path: Optional file path; when given the text is also written there.
 
     Raises:
+        BadParameter: ``G`` is not a :class:`Graph`.
         MissingCoordinates: The graph has no coordinates.
         ShapeMismatch: The signal is not 1-D of length ``N``.
         NonFiniteValue: The signal holds NaN or infinite entries.
     """
-    if G.coords is None:
+    if _check_graph(G).coords is None:
         raise MissingCoordinates(
             "graph has no coordinates; attach coords or use export_graph_dot")
     st = style or PlotStyle.for_graph(G)
@@ -234,6 +236,7 @@ def export_filter_svg(bank: FilterBank, lmax: Optional[float] = None,
         style: Optional :class:`PlotStyle`.
         path: Optional output file path.
     """
+    _check_type("bank", bank, FilterBank)
     grid_size = _check_int("grid_size", grid_size, minimum=2)
     st = style or PlotStyle(width=720, height=420)
     lm = _check_real("lmax", bank.lmax if lmax is None else lmax,

@@ -48,7 +48,8 @@ from .exceptions import (
     SolverFailure,
 )
 from .graphs import (Graph, LaplacianKind, _as_1d_signal, _as_signal,
-                     _check_int, _check_real, graph_from_weights)
+                     _check_graph, _check_int, _check_real,
+                     _check_type, _float_array, graph_from_weights)
 from .spectral import (_block_pairs, _check_dense_cap, _dense_eigh,
                        _lanczos_top, _require_symmetric, _splu)
 
@@ -90,13 +91,13 @@ def kron_reduce(L, kept) -> sp.csr_array:
     roundoff (at most :data:`POSITIVE_OFFDIAG_CLAMP`) are zeroed.
 
     Raises:
-        BadParameter: ``kept`` is not integer, repeats an index or covers
-            every vertex.
+        BadParameter: ``L`` is not numeric, or ``kept`` is not integer,
+            repeats an index or covers every vertex.
         NonSymmetricLaplacian: ``L`` is not symmetric.
         SingularInteriorBlock: The eliminated block cannot be factorized,
             e.g. when it contains a whole connected component.
     """
-    L = sp.csr_array(L)
+    L = sp.csr_array(L if sp.issparse(L) else _float_array(L, "Laplacian"))
     n = L.shape[0]
     kept = _check_kept(n, kept)
     if kept.size == n:
@@ -176,7 +177,8 @@ class Multiresolution:
         KindMismatch: The active Laplacian is not the combinatorial one.
         NotConnected: The graph is disconnected (elimination blocks would
             go singular).
-        BadParameter: ``graphs`` holds more than the finest graph,
+        BadParameter: ``graphs`` holds more than the finest graph or
+            anything but a :class:`Graph`,
             ``alpha`` or ``epsilon`` is not finite and in range, or a kept
             set is not integer, repeats an index or covers its level.
         EmptyKeptSet, IndexOutOfRange: A kept set is empty or out of range.
@@ -196,7 +198,7 @@ class Multiresolution:
             raise BadParameter(
                 "multiresolution takes only the finest graph, got "
                 f"{len(self.graphs)}; coarser levels are Kron-reduced from it")
-        G = self.graphs[0]
+        G = _check_graph(self.graphs[0])
         if G.directed or G.lap_kind is not LaplacianKind.COMBINATORIAL:
             raise KindMismatch(
                 "multiresolution needs an undirected graph with its "
@@ -480,7 +482,7 @@ def interpolate(G: Graph, kept, values, epsilon: float = 0.005) -> np.ndarray:
         SolverFailure: The extension system is singular.
     """
     epsilon = _check_real("epsilon", epsilon, positive=True)
-    sorted_kept = _check_kept(G.N, kept)
+    sorted_kept = _check_kept(_check_graph(G).N, kept)
     vals = _as_signal(sorted_kept.size, values, "values")
     # Pair each value with its own index: reorder to the sorted kept set.
     vals = vals[np.argsort(np.ravel(kept), kind="stable")]
@@ -552,10 +554,12 @@ def pyramid_analysis(mr: Multiresolution, f) -> Pyramid:
     Both solves run on the finest graph; no level graph is built.
 
     Raises:
+        BadParameter: ``mr`` is not a :class:`Multiresolution`.
         ShapeMismatch: ``f`` is not 1-D with one entry per vertex.
         NonFiniteValue: ``f`` holds NaN or infinite entries.
     """
-    current = _as_1d_signal(mr.graphs[0].N, f)
+    current = _as_1d_signal(
+        _check_type("mr", mr, Multiresolution).graphs[0].N, f)
     errors: List[np.ndarray] = []
     for level in range(mr.n_levels):
         kept = mr.keeps[level]
@@ -571,13 +575,16 @@ def pyramid_synthesis(mr: Multiresolution, pyr: Pyramid) -> np.ndarray:
     """Invert :func:`pyramid_analysis` exactly.
 
     Raises:
+        BadParameter: ``mr`` is not a :class:`Multiresolution` or ``pyr``
+            not a :class:`Pyramid`.
         LevelMismatch: The pyramid does not match the hierarchy (wrong level
             count or signal lengths).
         ShapeMismatch: The coarse signal or an error is not 1-D.
         NonFiniteValue: The coarse signal or an error holds NaN or infinite
             entries.
     """
-    sizes = mr.level_sizes()
+    sizes = _check_type("mr", mr, Multiresolution).level_sizes()
+    _check_type("pyr", pyr, Pyramid)
     if pyr.level_sizes != sizes or len(pyr.errors) != mr.n_levels:
         raise LevelMismatch(
             f"pyramid levels {pyr.level_sizes} do not match hierarchy "

@@ -26,7 +26,7 @@ from .exceptions import (
     MissingLmax,
     NonSymmetricLaplacian,
 )
-from .graphs import Graph, _as_signal, _check_int
+from .graphs import Graph, _as_signal, _check_graph, _check_int
 
 #: Largest vertex count for which a dense eigendecomposition is attempted.
 DEFAULT_DENSE_CAP = 3000
@@ -195,7 +195,7 @@ def compute_fourier_basis(G: Graph) -> SpectralData:
         NonSymmetricLaplacian: The active Laplacian is not symmetric (for
             example the degree-normalized directed form).
     """
-    if G._spectral is not None:
+    if _check_graph(G)._spectral is not None:
         return G._spectral
     _check_dense_cap(G.N, "graph")
     _require_symmetric(G.L, "no orthonormal Fourier basis exists", G.lap_kind)
@@ -231,7 +231,7 @@ def estimate_lmax(G: Graph) -> float:
         NonSymmetricLaplacian: The active Laplacian is not symmetric, so
             symmetric Lanczos gives no bound.
     """
-    if G._spectral is not None:
+    if _check_graph(G)._spectral is not None:
         return G._spectral.lmax
     if G._lmax_estimate is not None:
         return G._lmax_estimate
@@ -247,7 +247,7 @@ def get_lmax(G: Graph, required_by: str = "this operation") -> float:
     Raises:
         MissingLmax: Neither the Fourier basis nor an estimate exists.
     """
-    if G._spectral is not None:
+    if _check_graph(G)._spectral is not None:
         return G._spectral.lmax
     if G._lmax_estimate is not None:
         return G._lmax_estimate
@@ -258,7 +258,7 @@ def get_lmax(G: Graph, required_by: str = "this operation") -> float:
 
 def get_spectral(G: Graph, required_by: str = "this operation") -> SpectralData:
     """Cached eigendecomposition, raising if it has not been computed."""
-    if G._spectral is None:
+    if _check_graph(G)._spectral is None:
         raise MissingFourierBasis(
             f"{required_by} needs the Fourier basis; call "
             "compute_fourier_basis() first")
@@ -294,7 +294,7 @@ def localize(G: Graph, kernel, i: int, order: int = 30) -> np.ndarray:
         MissingFourierBasis: Neither basis nor spectral-radius bound exists.
     """
     i = _check_int("vertex index", i)
-    if not 0 <= i < G.N:
+    if not 0 <= i < _check_graph(G).N:
         raise IndexOutOfRange(f"vertex {i} outside [0, {G.N})")
     root_n = np.sqrt(G.N)
     if G._spectral is not None:

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import graphsig as gs
+from graphsig import cli
 from graphsig import io as gio
 from graphsig.cli import main
 
@@ -538,3 +539,20 @@ def test_help_text_is_pinned(command, capsys, monkeypatch):
     assert run(*command.split(), "--help") == 0
     expected = (HELP_TEXTS / f"{command.replace(' ', '_')}.txt").read_text()
     assert capsys.readouterr().out == expected
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    # rerun calls main again, so one replayed command parses twice.
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    outs = [tmp_path / "a.mtx", tmp_path / "b.mtx"]
+    for out in outs:
+        assert run("generate", "sensor", "--n", 30, "--out", out) == 0
+    first = outs[0].read_bytes()
+    outs[0].unlink()
+    assert run("rerun", tmp_path / "a.manifest.json") == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == first
+    assert len(built) == 1

@@ -252,3 +252,46 @@ class TestPatchGraph:
     def test_patch_larger_than_image(self, rng):
         with pytest.raises(exc.PatchLargerThanImage):
             gs.patch_graph(rng.random((3, 3)), patch_size=5)
+
+
+#: Start-up check run in a fresh interpreter: the modules of the KD-tree
+#: stack that ``import graphsig`` and ``import graphsig.cli`` load, then the
+#: sha256 of the kNN and radius graphs, built with ``scipy.spatial``
+#: imported first when ``EAGER`` is true.
+_STARTUP_SNIPPET = """
+import hashlib, json, sys
+import numpy as np
+EAGER = {eager}
+if EAGER:
+    import scipy.spatial
+
+def kd_modules():
+    return sorted(m for m in sys.modules
+                  if m.startswith(("scipy.spatial", "scipy.special")))
+
+out = {{}}
+import graphsig as gs
+out["graphsig"] = kd_modules()
+import graphsig.cli
+out["cli"] = kd_modules()
+pts = np.random.default_rng(0).random((40, 2))
+for name, G in [("sensor", gs.sensor(50, 0)),
+                ("epsilon", gs.nn_graph(pts, epsilon=0.3))]:
+    parts = (G.W.data, G.W.indices, G.W.indptr, G.coords,
+             np.float64(G.plotting["sigma"]))
+    out[name] = hashlib.sha256(b"".join(p.tobytes() for p in parts)).hexdigest()
+print(json.dumps(out))
+"""
+
+
+def test_import_loads_no_kd_tree_and_first_use_builds_the_same_graphs(
+        fresh_interpreter):
+    # Module sets, not wall time, so a slow host reads the same.  The KD-tree
+    # stack adds about 0.1 s to start-up, and only the point-cloud
+    # generators use it.
+    lazy = fresh_interpreter(_STARTUP_SNIPPET.format(eager=False))
+    eager = fresh_interpreter(_STARTUP_SNIPPET.format(eager=True))
+    assert lazy["graphsig"] == lazy["cli"] == []
+    assert eager["graphsig"]
+    for name in ("sensor", "epsilon"):
+        assert lazy[name] == eager[name]

@@ -242,6 +242,10 @@ def _pyramid_analysis(f):
     return gs.pyramid_analysis(gs.graph_multiresolution(G, 1), f)
 
 
+_MR = gs.graph_multiresolution(gs.ring(8), 1)
+_PYR = gs.pyramid_analysis(_MR, np.arange(8.0))
+
+
 #: Inputs of the wrong kind that numpy, an enum or a call binding would
 #: refuse with a bare ``ValueError`` or ``TypeError``, as a call taking the
 #: input, and an input that must stay accepted.
@@ -285,6 +289,40 @@ TYPED_REFUSALS = {
     "bank_from_descriptor-kind": (
         lambda v: gs.bank_from_descriptor({"kind": v, "lmax": 2.0}),
         "heat", ["heat"]),
+    "estimate_lmax-graph": (gs.estimate_lmax, gs.ring(8), "G"),
+    "compute_fourier_basis-graph": (gs.compute_fourier_basis, gs.ring(8),
+                                    "G"),
+    "get_lmax-graph": (gs.get_lmax, _ring(), "G"),
+    "get_spectral-graph": (gs.get_spectral, _ring(), "G"),
+    "gft-graph": (lambda v: gs.gft(v, np.ones(8)), _ring(), "G"),
+    "igft-graph": (lambda v: gs.igft(v, np.ones(8)), _ring(), "G"),
+    "localize-graph": (lambda v: gs.localize(v, np.exp, 1), _ring(), "G"),
+    "grad-graph": (lambda v: gs.grad(v, np.ones(8)), gs.ring(8), "G"),
+    "div-graph": (lambda v: gs.div(v, np.ones(8)), gs.ring(8), "G"),
+    "incidence-graph": (gs.incidence, gs.ring(8), "G"),
+    "laplacian-graph": (gs.laplacian, gs.ring(8), "G"),
+    "stationary_distribution-graph": (gs.stationary_distribution,
+                                      gs.ring(8), "G"),
+    "interpolate-graph": (lambda v: gs.interpolate(v, [0], [1.0]),
+                          gs.ring(8), "G"),
+    "graph_multiresolution-graph": (
+        lambda v: gs.graph_multiresolution(v, 1), gs.ring(8), "G"),
+    "multiresolution_from_keeps-graph": (
+        lambda v: gs.multiresolution_from_keeps(v, [[0, 2]]), gs.ring(8),
+        "G"),
+    "kron_reduce-laplacian": (lambda v: gs.kron_reduce(v, [0]),
+                              gs.ring(8).L, "L"),
+    "pyramid_analysis-multiresolution": (
+        lambda v: gs.pyramid_analysis(v, np.ones(8)), _MR, "mr"),
+    "pyramid_synthesis-multiresolution": (
+        lambda v: gs.pyramid_synthesis(v, _PYR), _MR, "mr"),
+    "pyramid_synthesis-pyramid": (lambda v: gs.pyramid_synthesis(_MR, v),
+                                  _PYR, "p"),
+    "export_graph_svg-graph": (gs.export_graph_svg, gs.ring(8), "G"),
+    "export_graph_dot-graph": (gs.export_graph_dot, gs.ring(8), "G"),
+    "PlotStyle.for_graph-graph": (gs.PlotStyle.for_graph, gs.ring(8), "G"),
+    "export_filter_svg-bank": (gs.export_filter_svg, gs.itersine(4.0, 4),
+                               "b"),
 }
 
 

@@ -4,8 +4,9 @@ For a random permutation ``perm`` of a random sensor graph ``G``, ``GP`` is
 the graph whose vertex ``i`` is vertex ``perm[i]`` of ``G``, so a signal
 ``x`` on ``G`` is ``x[perm]`` on ``GP`` and a vertex ``v`` of ``G`` is
 ``inv[v]`` on ``GP``.  Filtering (both paths, on one fixed ``lmax``),
-``tik_denoise`` (solved below that bound), ``interpolate``, ``kron_reduce``
-and ``div(grad(.))`` must give the relabelled output to 1e-12 relative.  Nothing in the maths
+``tik_denoise`` (solved below that bound), ``prox_tv``, ``interpolate``,
+``kron_reduce``, ``localize`` (both paths) and ``div(grad(.))`` must give
+the relabelled output to 1e-12 relative.  Nothing in the maths
 depends on the labels, so a deviation is a bug such as pairing values with
 the wrong order of a vertex set.
 """
@@ -107,3 +108,28 @@ def test_div_grad_commutes_with_relabelling(case, k):
     F = rng.standard_normal((G.N, k))
     assert_relabelled(gs.div(GP, gs.grad(GP, F[perm])),
                       gs.div(G, gs.grad(G, F)), perm)
+
+
+@PROPERTY_SETTINGS
+@given(relabelled(), st.sampled_from(["exact", "chebyshev"]),
+       st.floats(0.05, 2.0))
+def test_localize_commutes_with_relabelling(case, method, tau):
+    G, GP, perm, inv, rng = case
+    if method == "exact":
+        gs.compute_fourier_basis(G)
+        gs.compute_fourier_basis(GP)
+    else:
+        G._lmax_estimate = GP._lmax_estimate = gs.estimate_lmax(G)
+    i = int(rng.integers(G.N))
+    kernel = lambda x: np.exp(-tau * x)  # noqa: E731
+    assert_relabelled(gs.localize(GP, kernel, inv[i]),
+                      gs.localize(G, kernel, i), perm)
+
+
+@PROPERTY_SETTINGS
+@given(relabelled(), st.floats(0.01, 2.0), st.integers(1, 3))
+def test_prox_tv_commutes_with_relabelling(case, gamma, k):
+    G, GP, perm, _, rng = case
+    Y = rng.standard_normal((G.N, k))
+    assert_relabelled(gs.prox_tv(GP, Y[perm], gamma)[0],
+                      gs.prox_tv(G, Y, gamma)[0], perm)
