@@ -38,7 +38,8 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .exceptions import BadParameter, NonFiniteValue, ShapeMismatch
-from .graphs import Graph, _as_signal, _check_int, _check_real, _check_type
+from .graphs import (Graph, _as_signal, _check_int, _check_real, _check_type,
+                     _float_array)
 from .spectral import estimate_lmax, get_lmax, get_spectral
 
 
@@ -385,11 +386,27 @@ class ChebyshevCoeffs:
     ``c`` holds ``order + 1`` coefficients in the half-first-coefficient
     convention: the reconstruction is ``c[0] / 2 + sum(c[k] * T_k)``, so a
     constant kernel of value one gives ``c[0] == 2``.
+
+    Raises:
+        BadParameter: ``order`` is not an integer ``>= 1``, ``lmax`` is not
+            positive and finite, or ``c`` is not ``order + 1`` finite
+            numbers.
     """
 
     c: np.ndarray
     order: int
     lmax: float
+
+    def __post_init__(self):
+        self.order = _check_int("order", self.order, minimum=1)
+        self.lmax = _check_real("lmax", self.lmax, positive=True)
+        self.c = _float_array(self.c, "Chebyshev coefficients")
+        if self.c.shape != (self.order + 1,):
+            raise BadParameter(
+                f"Chebyshev coefficients must have shape ({self.order + 1},)"
+                f" for order {self.order}, got {self.c.shape}")
+        if not np.all(np.isfinite(self.c)):
+            raise BadParameter("Chebyshev coefficients must be finite")
 
 
 def chebyshev_coeffs(kernel, order: int, lmax: float) -> ChebyshevCoeffs:

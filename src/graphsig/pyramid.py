@@ -10,8 +10,10 @@ Only eigenvector entries above ``1e-8`` times the largest are split by
 polarity; the signs of the smaller ones are roundoff, and on sensor graphs,
 whose top eigenvector sits on a few hubs, that is most of them.  A greedy
 wavefront on the level's Laplacian assigns those vertices, each to the side
-opposite its decided neighbours' weighted majority, so the split is the same
-from a dense, a Lanczos or a perturbed eigenvector (see :func:`_split`).
+opposite its decided neighbours' weighted majority, in rounds that take
+every vertex pulled at least a quarter as hard as the most pulled one
+(:data:`_WAVEFRONT_FRACTION`), so the split is the same from a dense, a
+Lanczos or a perturbed eigenvector (see :func:`_split`).
 
 A Schur complement of a Schur complement is the Schur complement onto the
 nested set, so level ``l`` is ``S_l = L / (V \\ K_l)`` of the finest
@@ -243,6 +245,18 @@ _DENSE_EIGVEC_CUTOFF = 256
 #: treated as roundoff: their sign decides nothing (see :func:`_split`).
 _POLARITY_TOL = 1e-8
 
+#: A wavefront round assigns every undecided vertex whose ``|g|`` is at least
+#: this fraction of the round's largest (see :func:`_split`).  Each round is
+#: one product with the level operator, a full ``L_RR`` solve above level 0,
+#: so the fraction sets the set-up cost.  ``graph_multiresolution(sensor(N,
+#: 0), 3)``, one BLAS thread: at N = 4000 a quarter took 135 / 146 / 72
+#: rounds at levels 0 / 1 / 2 and 0.11 s, against 327 / 396 / 184 and
+#: 0.18 s for one half, and at N = 16000 0.92 against 1.81 s.  The share of
+#: level edge weight crossing the split went from 0.622 / 0.653 / 0.629 to
+#: 0.607 / 0.620 / 0.598 at N = 4000 (plain polarity: 0.31 / 0.36 / 0.37).
+#: 0.35 kept 0.612 / 0.646 / 0.630 but took 0.14 s.
+_WAVEFRONT_FRACTION = 0.25
+
 
 def _level_operator(L: sp.csr_array, vertices: np.ndarray):
     """The Laplacian ``S = L / (V \\ K)`` of the level whose vertices ``K``
@@ -311,12 +325,13 @@ def _split(S, u: np.ndarray) -> tuple[np.ndarray, int]:
     Only the entries with ``|u_i| > _POLARITY_TOL * max |u|`` are decided
     by polarity; the signs of the others are roundoff.  A greedy wavefront
     on ``S`` assigns those: with ``g = S s`` for the partial +-1 assignment
-    ``s``, every undecided vertex with ``|g_i|`` at least half the largest
-    undecided ``|g|`` takes the side ``sign(g_i)``, which is opposite its
-    decided neighbours' weighted majority, until none is undecided.  (Should
-    every undecided ``g_i`` vanish, the first undecided vertex takes side
-    +1.)  Returns the larger side, the one holding vertex 0 on a tie, and
-    the number of vertices the wavefront assigned.
+    ``s``, every undecided vertex with ``|g_i|`` at least
+    :data:`_WAVEFRONT_FRACTION` (a quarter) of the largest undecided ``|g|``
+    takes the side ``sign(g_i)``, which is opposite its decided neighbours'
+    weighted majority, until none is undecided.  Each round is one product
+    with ``S``.  (Should every undecided ``g_i`` vanish, the first undecided
+    vertex takes side +1.)  Returns the larger side, the one holding vertex
+    0 on a tie, and the number of vertices the wavefront assigned.
     """
     side = np.where(np.abs(u) > _POLARITY_TOL * np.abs(u).max(),
                     np.sign(u), 0.0)
@@ -330,7 +345,7 @@ def _split(S, u: np.ndarray) -> tuple[np.ndarray, int]:
             side[undecided[0]] = 1.0
             undecided = undecided[1:]
             continue
-        now = reach >= 0.5 * top
+        now = reach >= _WAVEFRONT_FRACTION * top
         side[undecided[now]] = np.sign(g[now])
         undecided = undecided[~now]
     plus = np.count_nonzero(side > 0)

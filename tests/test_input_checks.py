@@ -35,6 +35,8 @@ REAL_PARAMETERS = {
     "expwin-transition": (lambda v: gs.expwin(2.0, 0.2, transition=v), 1e-3),
     "chebyshev_coeffs-lmax": (
         lambda v: gs.chebyshev_coeffs(lambda x: np.exp(-x), 5, v), 1e-3),
+    "ChebyshevCoeffs-lmax": (lambda v: gs.ChebyshevCoeffs(np.ones(3), 2, v),
+                             1e-3),
     "frame_bounds-lmax": (
         lambda v: gs.frame_bounds(gs.itersine(4.0, 4), lmax=v), 1e-3),
     "prox_tv-gamma": (lambda v: gs.prox_tv(_ring(), np.ones(8), v), 0.0),
@@ -184,6 +186,8 @@ COUNT_PARAMETERS = {
         lambda v: gs.frame_bounds(gs.itersine(4.0, 4), grid_size=v), 2),
     "export_filter_svg-grid_size": (
         lambda v: gs.export_filter_svg(gs.itersine(4.0, 4), grid_size=v), 2),
+    "ChebyshevCoeffs-order": (
+        lambda v: gs.ChebyshevCoeffs(np.ones(2), v, 2.0), 1),
     "regular_hp_lp-degree": (lambda v: gs.regular_hp_lp(4.0, v), 0),
     "mexican_hat-n_scales": (lambda v: gs.mexican_hat(4.0, v), 1),
     "itersine-n_filters": (lambda v: gs.itersine(4.0, v), 1),
@@ -281,6 +285,18 @@ TYPED_REFUSALS = {
         gs.itersine(4.0, 4), 5),
     "solve_bpdn-bank": (lambda v: gs.solve_bpdn(_ring(), v, np.ones(8)),
                         gs.itersine(4.0, 4), "b"),
+    # Coefficients built directly, not by chebyshev_coeffs: a NaN lmax used
+    # to give an all-NaN chebyshev_apply without an error.
+    "ChebyshevCoeffs-lmax": (
+        lambda v: gs.ChebyshevCoeffs(np.ones(3), 2, lmax=v), 2.0, np.nan),
+    "ChebyshevCoeffs-order": (lambda v: gs.ChebyshevCoeffs(np.ones(3), v, 2.0),
+                              2, 0),
+    "ChebyshevCoeffs-length": (lambda v: gs.ChebyshevCoeffs(v, 2, lmax=3.0),
+                               np.ones(3), np.ones(5)),
+    "ChebyshevCoeffs-finite": (lambda v: gs.ChebyshevCoeffs(v, 2, lmax=3.0),
+                               np.ones(3), [1.0, np.inf, 1.0]),
+    "ChebyshevCoeffs-numeric": (lambda v: gs.ChebyshevCoeffs(v, 2, lmax=3.0),
+                                np.ones(3), ["a", "b", "c"]),
     "chebyshev_apply-coeffs": (
         lambda v: gs.chebyshev_apply(_ring(), v, np.ones(8)),
         gs.chebyshev_coeffs(np.exp, 5, 4.5), "c"),

@@ -590,3 +590,59 @@ class TestImplicitSelection:
         assert kron_calls == []
         assert mr.graphs[2].N == sizes[2]
         assert len(kron_calls) == 1
+
+
+class _CountingOperator:
+    """A level operator that counts its products in ``counts[-1]``."""
+
+    def __init__(self, S, counts):
+        self.S, self.shape, self.counts = S, S.shape, counts
+
+    def __matmul__(self, v):
+        self.counts[-1] += 1
+        return self.S @ v
+
+
+def _cut_fraction(L, side):
+    """The share of a level graph's edge weight that crosses the +-1 split
+    ``side``: ``side' L side / 4`` crosses, of ``trace(L) / 2`` in all."""
+    return float(side @ (L @ side)) / (2.0 * L.diagonal().sum())
+
+
+class TestWavefrontWork:
+    """Selection on sensor(2000, 0) with three levels: the wavefront's round
+    count, which sets the set-up cost, and the cut it buys."""
+
+    @pytest.fixture(scope="class")
+    def G(self):
+        return gs.sensor(2000, seed=0)
+
+    def test_fewer_products_than_the_half_rule(self, G, monkeypatch):
+        real, counts = pyramid._split, []
+
+        def counted(S, u):
+            counts.append(0)
+            return real(_CountingOperator(S, counts), u)
+
+        monkeypatch.setattr(pyramid, "_split", counted)
+        gs.graph_multiresolution(G, 3)
+        shipped = sum(counts)
+        monkeypatch.setattr(pyramid, "_WAVEFRONT_FRACTION", 0.5)
+        counts.clear()
+        gs.graph_multiresolution(G, 3)
+        assert 0 < shipped < sum(counts)
+
+    def test_every_level_cuts_more_than_plain_polarity(self, G):
+        # Plain polarity splits by the sign of every eigenvector entry,
+        # roundoff included, of the eigenvector that selection used.
+        mr = gs.graph_multiresolution(G, 3)
+        vertices = np.arange(G.N)
+        for level, kept in enumerate(mr.keeps):
+            u = pyramid._top_eigenvector(pyramid._level_operator(G.L,
+                                                                 vertices))
+            L = mr.graphs[level].L
+            side = -np.ones(L.shape[0])
+            side[kept] = 1.0
+            polarity = np.where(u >= 0, 1.0, -1.0)
+            assert _cut_fraction(L, side) > _cut_fraction(L, polarity)
+            vertices = vertices[kept]

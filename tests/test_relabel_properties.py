@@ -8,11 +8,13 @@ the graph whose vertex ``i`` is vertex ``perm[i]`` of ``G``, so a signal
 ``kron_reduce``, ``localize`` (both paths) and ``div(grad(.))`` must give
 the relabelled output to 1e-12 relative.  Nothing in the maths
 depends on the labels, so a deviation is a bug such as pairing values with
-the wrong order of a vertex set.
+the wrong order of a vertex set.  ``graph_multiresolution`` must keep the
+same vertices at every level, on draws where no tie rule that reads the
+labels fires.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import graphsig as gs
@@ -23,8 +25,8 @@ RTOL = 1e-12
 
 
 @st.composite
-def relabelled(draw):
-    n = draw(st.integers(8, 300))
+def relabelled(draw, min_n=8):
+    n = draw(st.integers(min_n, 300))
     G = gs.sensor(n, seed=draw(st.integers(0, 10_000)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     perm = rng.permutation(n)
@@ -133,3 +135,19 @@ def test_prox_tv_commutes_with_relabelling(case, gamma, k):
     Y = rng.standard_normal((G.N, k))
     assert_relabelled(gs.prox_tv(GP, Y[perm], gamma)[0],
                       gs.prox_tv(G, Y, gamma)[0], perm)
+
+
+@PROPERTY_SETTINGS
+@given(relabelled(min_n=60))
+def test_pyramid_keeps_the_same_vertices_under_relabelling(case):
+    G, GP, perm, _, _ = case
+    mr = gs.graph_multiresolution(G, 3)
+    # Two tie rules read the labels: a split into equal halves keeps vertex
+    # 0's side, and a degenerate split keeps every other vertex.
+    assume(not mr.fallback_levels)
+    assume(all(2 * kept.size != size
+               for kept, size in zip(mr.keeps, mr.level_sizes())))
+    mr_p = gs.graph_multiresolution(GP, 3)
+    # Each level's vertices, as sorted indices into its finest graph.
+    for vertices, vertices_p in zip(mr._vertices, mr_p._vertices):
+        assert np.array_equal(np.sort(perm[vertices_p]), vertices)
