@@ -32,6 +32,7 @@ columns, slower at 8.
 from __future__ import annotations
 
 import inspect
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
@@ -65,15 +66,32 @@ class FilterBank:
     """Kernels sharing one spectral interval.
 
     Attributes:
-        kernels: The member kernels, low-pass first by convention.
+        kernels: The member kernels, low-pass first by convention, stored as
+            a list.
         lmax: Right end of the spectral interval the bank was designed for.
         design: JSON-ready descriptor ``{"kind", "lmax", "params"}`` when the
             bank came from a design function, else ``None``.
+
+    Raises:
+        BadParameter: ``kernels`` is not a non-empty sequence of callables,
+            ``lmax`` is not positive and finite, or ``design`` is neither
+            ``None`` nor a dict.
     """
 
     kernels: List[Kernel]
     lmax: float
     design: Optional[dict] = field(default=None)
+
+    def __post_init__(self):
+        if not (isinstance(self.kernels, Sequence) and self.kernels
+                and all(map(callable, self.kernels))):
+            raise BadParameter("kernels must be a non-empty sequence of "
+                               f"callables, got {self.kernels!r}")
+        self.kernels = list(self.kernels)
+        self.lmax = _check_real("lmax", self.lmax, positive=True)
+        if not (self.design is None or isinstance(self.design, dict)):
+            raise BadParameter(
+                f"design must be None or a dict, got {self.design!r}")
 
     def __len__(self) -> int:
         return len(self.kernels)
@@ -379,13 +397,15 @@ def bank_from_descriptor(desc: dict) -> FilterBank:
 # Chebyshev machinery
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ChebyshevCoeffs:
     """Chebyshev expansion of a kernel on ``[0, lmax]``.
 
     ``c`` holds ``order + 1`` coefficients in the half-first-coefficient
     convention: the reconstruction is ``c[0] / 2 + sum(c[k] * T_k)``, so a
-    constant kernel of value one gives ``c[0] == 2``.
+    constant kernel of value one gives ``c[0] == 2``.  The fields are
+    checked once, so they cannot change afterwards: the dataclass is frozen
+    and ``c`` is a read-only copy of the array passed in.
 
     Raises:
         BadParameter: ``order`` is not an integer ``>= 1``, ``lmax`` is not
@@ -398,15 +418,19 @@ class ChebyshevCoeffs:
     lmax: float
 
     def __post_init__(self):
-        self.order = _check_int("order", self.order, minimum=1)
-        self.lmax = _check_real("lmax", self.lmax, positive=True)
-        self.c = _float_array(self.c, "Chebyshev coefficients")
-        if self.c.shape != (self.order + 1,):
+        order = _check_int("order", self.order, minimum=1)
+        lmax = _check_real("lmax", self.lmax, positive=True)
+        c = np.array(_float_array(self.c, "Chebyshev coefficients"))
+        if c.shape != (order + 1,):
             raise BadParameter(
-                f"Chebyshev coefficients must have shape ({self.order + 1},)"
-                f" for order {self.order}, got {self.c.shape}")
-        if not np.all(np.isfinite(self.c)):
+                f"Chebyshev coefficients must have shape ({order + 1},)"
+                f" for order {order}, got {c.shape}")
+        if not np.all(np.isfinite(c)):
             raise BadParameter("Chebyshev coefficients must be finite")
+        c.flags.writeable = False
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "lmax", lmax)
+        object.__setattr__(self, "c", c)
 
 
 def chebyshev_coeffs(kernel, order: int, lmax: float) -> ChebyshevCoeffs:

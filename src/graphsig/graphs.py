@@ -1,10 +1,15 @@
 """Core graph container, Laplacian operators and random-walk quantities.
 
 A graph is a sparse nonnegative weight matrix plus derived data (degrees, an
-active Laplacian, optional coordinates).  Construction goes through
-:func:`graph_from_weights`, which validates and normalizes the input once;
-after that a :class:`Graph` is treated as immutable, with two exceptions that
-are part of the contract:
+active Laplacian, optional coordinates).  :class:`Graph` holds the invariant:
+its constructor refuses a weight matrix that is not already in stored form
+(float64 CSR, finite, nonnegative, zero diagonal, exactly symmetric unless
+directed) and attaches the default Laplacian, so no graph exists half built.
+:func:`graph_from_weights` only normalizes: it converts any matrix, drops
+self-loops and symmetrizes, then constructs.  One helper,
+``_check_weights``, checks the weights at both sites.  After construction a
+:class:`Graph` is treated as immutable, with two exceptions that are part of
+the contract:
 
 * :func:`laplacian` may swap the *active* Laplacian (and resets any spectral
   caches that depended on the old one), and
@@ -93,8 +98,14 @@ class DirectedData:
 class Graph:
     """Weighted graph at desk scale (thousands of vertices).
 
-    Do not call the constructor directly; use :func:`graph_from_weights` or a
-    generator from :mod:`graphsig.generators`.
+    The constructor checks the stored form itself and attaches the default
+    Laplacian, so every ``Graph`` is complete.  It takes ``W`` as it will be
+    kept: a float64 ``scipy.sparse.csr_array`` with finite nonnegative
+    weights, a zero diagonal and, unless ``directed``, exact symmetry.
+    ``W`` is stored, not copied; duplicate entries are summed, explicit
+    zeros removed and indices sorted in place.  To build a graph from any
+    other matrix (dense, another sparse format, self-loops, asymmetry) use
+    :func:`graph_from_weights`, which normalizes it into this form.
 
     Attributes:
         W: Sparse nonnegative weight matrix, zero diagonal.
@@ -103,52 +114,128 @@ class Graph:
         d: Degree vector (row sums of ``W``).
         directed: Whether ``W`` is interpreted as directed.
         L: The active Laplacian (sparse), matching ``lap_kind``.
-        lap_kind: Which Laplacian ``L`` currently holds.
+        lap_kind: Which Laplacian ``L`` currently holds; combinatorial for an
+            undirected graph and combinatorial-directed for a directed one
+            until :func:`laplacian` swaps it.
         coords: Optional ``(N, 2)`` or ``(N, 3)`` vertex coordinates.
         name: Human-readable label, may be empty.
         plotting: Free-form plotting defaults (vertex size, edge width,
             colormap name) consulted by the export helpers.
         dropped_self_loops: True if the input had diagonal entries that were
             removed during construction.
+
+    Raises:
+        BadParameter: ``W`` is not a float64 ``csr_array``, ``directed`` is
+            not a bool, ``W`` has a nonzero diagonal, or an undirected ``W``
+            is not exactly symmetric.
+        NonSquareMatrix: ``W`` is not square, or ``coords`` is not
+            ``(N, 2)`` or ``(N, 3)``.
+        EmptyGraph: ``W`` has zero rows.
+        NonFiniteValue: A weight or coordinate is NaN or infinite, or twice
+            the largest row or column sum is not finite.
+        NegativeWeight: A weight is negative.
     """
 
     def __init__(self, W: sp.csr_array, directed: bool, name: str = "",
                  coords: Optional[np.ndarray] = None,
                  plotting: Optional[dict] = None,
                  dropped_self_loops: bool = False):
+        if not (isinstance(W, sp.csr_array) and W.dtype == np.float64):
+            raise BadParameter(
+                "W must be a float64 scipy.sparse.csr_array, got "
+                f"{type(W).__name__} of {getattr(W, 'dtype', None)}; "
+                "graph_from_weights converts other matrices")
+        if not isinstance(directed, (bool, np.bool_)):
+            raise BadParameter(f"directed must be a bool, got {directed!r}")
+        directed = bool(directed)
+        W.sum_duplicates()
+        _check_weights(W)
+        if W.diagonal().any():
+            raise BadParameter("W has self-loops (a nonzero diagonal); "
+                               "graph_from_weights drops them")
+        W.eliminate_zeros()
+        if not directed and _asymmetry(W, W.T.tocsr()):
+            raise BadParameter(
+                "an undirected W must be exactly symmetric; "
+                "graph_from_weights(W, directed=False) symmetrizes it")
+        # 2 dmax bounds the spectrum; past the float range every solver
+        # overflows.
+        with np.errstate(over="ignore"):
+            self.d = np.asarray(W.sum(axis=1)).ravel()
+            if not np.isfinite(2.0 * max(self.d.max(), W.sum(0).max())):
+                raise NonFiniteValue(
+                    "weight matrix degrees overflow: twice the largest row "
+                    "or column sum is not finite")
+        if coords is not None:
+            coords = _float_array(coords, "coords")
+            if coords.ndim != 2 or coords.shape[0] != W.shape[0] \
+                    or coords.shape[1] not in (2, 3):
+                raise NonSquareMatrix(
+                    f"coords must be (N, 2) or (N, 3), got {coords.shape}")
+            if not np.all(np.isfinite(coords)):
+                raise NonFiniteValue(
+                    "coordinates contain NaN or infinite entries")
         self.W = W
         self.N = W.shape[0]
         self.directed = directed
-        self.d = np.asarray(W.sum(axis=1)).ravel()
         self.Ne = W.nnz if directed else W.nnz // 2
         self.name = name
         self.coords = coords
         self.plotting = dict(plotting) if plotting else {}
         self.dropped_self_loops = dropped_self_loops
-        # Active Laplacian; filled in by graph_from_weights via laplacian().
-        self.L: Optional[sp.csr_array] = None
-        self.lap_kind: Optional[LaplacianKind] = None
         # Compute-once caches (see module docstring for the publication rule).
         self._spectral = None
         self._lmax_estimate: Optional[float] = None
         self._incidence = None
         self._directed_data: Optional[DirectedData] = None
+        laplacian(self, LaplacianKind.COMBINATORIAL_DIRECTED if directed
+                  else LaplacianKind.COMBINATORIAL)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         label = f" {self.name!r}" if self.name else ""
-        kind = self.lap_kind.value if self.lap_kind else "none"
         arrow = "directed" if self.directed else "undirected"
         return (f"Graph({label and label.strip()} N={self.N} Ne={self.Ne} "
-                f"{arrow} laplacian={kind})")
+                f"{arrow} laplacian={self.lap_kind.value})")
 
     def is_connected(self, strong: bool = False) -> bool:
         """Whether the graph is (strongly, if asked) connected."""
-        if self.N == 0:
-            return False
         connection = "strong" if (strong and self.directed) else "weak"
         n_comp, _ = connected_components(
             self.W, directed=self.directed, connection=connection)
         return n_comp == 1
+
+
+def _check_weights(M: sp.csr_array) -> None:
+    """Refuse a weight matrix that is not square (``NonSquareMatrix``) or
+    has no rows (``EmptyGraph``), or a weight that is NaN or infinite
+    (``NonFiniteValue``) or negative (``NegativeWeight``).
+
+    :class:`Graph` runs it on what it stores.  :func:`graph_from_weights`
+    runs it on its raw input too: symmetrizing turns ``[[0, -1], [1, 0]]``
+    into an empty graph, and dropping the diagonal would hide a NaN or
+    negative self-loop.
+    """
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise NonSquareMatrix(f"weight matrix has shape {M.shape}")
+    if M.shape[0] == 0:
+        raise EmptyGraph("weight matrix has no rows")
+    if M.nnz and not np.all(np.isfinite(M.data)):
+        raise NonFiniteValue("weight matrix contains NaN or infinite entries")
+    if M.nnz and M.data.min() < 0:
+        raise NegativeWeight(
+            f"weight matrix contains negative entries (min {M.data.min():g})")
+
+
+def _asymmetry(M: sp.csr_array, MT: sp.csr_array) -> float:
+    """The largest entry of ``|M - MT|``, for ``MT`` the transpose of ``M``
+    in CSR; 0.0 when ``M`` is exactly symmetric.  Where the two share one
+    sorted pattern, the arrays are compared without forming ``M - MT``."""
+    if np.array_equal(M.indptr, MT.indptr) \
+            and np.array_equal(M.indices, MT.indices):
+        delta = M.data - MT.data
+    else:
+        delta = (M - MT).data
+    return float(np.abs(delta).max()) if delta.size else 0.0
 
 
 def _as_sparse(weights) -> sp.csr_array:
@@ -162,7 +249,11 @@ def _as_sparse(weights) -> sp.csr_array:
 
 def graph_from_weights(weights, directed="auto", name: str = "",
                        coords=None, kind=None, plotting=None) -> Graph:
-    """Build a validated :class:`Graph` from a weight matrix.
+    """Normalize a weight matrix into a :class:`Graph`.
+
+    The input is converted to float64 CSR and checked, self-loops are
+    dropped, and an undirected graph is symmetrized; :class:`Graph` then
+    checks the result and attaches its default Laplacian.
 
     Args:
         weights: Square array-like or scipy sparse matrix with nonnegative,
@@ -176,72 +267,44 @@ def graph_from_weights(weights, directed="auto", name: str = "",
         name: Optional label.
         coords: Optional ``(N, 2)`` or ``(N, 3)`` vertex coordinates.
         kind: Laplacian to attach, a :class:`LaplacianKind` or its string
-            value.  Defaults to combinatorial for undirected graphs and the
-            combinatorial directed form for directed ones.
+            value.  ``None`` keeps the graph's default: combinatorial for
+            undirected graphs and the combinatorial directed form for
+            directed ones.
         plotting: Optional plotting-defaults map stored verbatim.
 
     Returns:
         A :class:`Graph` with ``L`` and ``lap_kind`` populated.
 
     Raises:
-        BadParameter: If the weights are not numeric.
-        NonSquareMatrix: If the matrix is not square.
-        NonFiniteValue: If any entry is NaN or infinite, or twice the
-            largest row or column sum (off the diagonal) is not finite.
+        BadParameter: If the weights or the coordinates are not numeric.
+        NonSquareMatrix: If the matrix is not square, or ``coords`` is not
+            ``(N, 2)`` or ``(N, 3)``.
+        NonFiniteValue: If any entry or coordinate is NaN or infinite, or
+            twice the largest row or column sum of the stored matrix is not
+            finite.
         NegativeWeight: If any entry is negative.
         EmptyGraph: If the matrix has zero rows.
     """
     M = _as_sparse(weights)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise NonSquareMatrix(f"weight matrix has shape {M.shape}")
-    if M.shape[0] == 0:
-        raise EmptyGraph("weight matrix has no rows")
-    if M.nnz and not np.all(np.isfinite(M.data)):
-        raise NonFiniteValue("weight matrix contains NaN or infinite entries")
-    if M.nnz and M.data.min() < 0:
-        raise NegativeWeight(
-            f"weight matrix contains negative entries (min {M.data.min():g})")
-
-    dropped = False
+    _check_weights(M)
     diag = M.diagonal()
-    if np.any(diag != 0):
+    dropped = bool(np.any(diag != 0))
+    if dropped:
         M = sp.csr_array(M - sp.diags_array(diag))
-        dropped = True
-    M.eliminate_zeros()
-    # 2 dmax bounds the spectrum; past the float range every solver overflows.
-    with np.errstate(over="ignore"):
-        if not np.isfinite(2.0 * max(M.sum(0).max(), M.sum(1).max())):
-            raise NonFiniteValue("weight matrix degrees overflow: twice the "
-                                 "largest row or column sum is not finite")
-
-    asym = 0.0
-    if M.nnz:
-        delta = (M - M.T).tocoo()
-        asym = float(np.max(np.abs(delta.data))) if delta.nnz else 0.0
-    if directed == "auto":
-        directed = asym > ASYMMETRY_TOL
-    directed = bool(directed)
-    if not directed:
-        # Exact symmetry, even if the asymmetry was only rounding noise.
-        M = sp.csr_array((M + M.T) * 0.5)
-        M.eliminate_zeros()
-    M.sort_indices()
-
-    if coords is not None:
-        coords = np.asarray(coords, dtype=float)
-        if coords.ndim != 2 or coords.shape[0] != M.shape[0] \
-                or coords.shape[1] not in (2, 3):
-            raise NonSquareMatrix(
-                f"coords must be (N, 2) or (N, 3), got {coords.shape}")
-        if not np.all(np.isfinite(coords)):
-            raise NonFiniteValue("coordinates contain NaN or infinite entries")
-
-    G = Graph(M, directed=directed, name=name, coords=coords,
+    if directed == "auto" or not directed:
+        # One transpose serves the asymmetry test and the symmetrization.
+        MT = M.T.tocsr()
+        asym = _asymmetry(M, MT)
+        if directed == "auto":
+            directed = asym > ASYMMETRY_TOL
+        if not directed and asym:
+            # Exact symmetry, even if the asymmetry was only rounding noise;
+            # an exactly symmetric M is its own (M + M.T) / 2.
+            M = sp.csr_array((M + MT) * 0.5)
+    G = Graph(M, bool(directed), name=name, coords=coords,
               plotting=plotting, dropped_self_loops=dropped)
-    if kind is None:
-        kind = (LaplacianKind.COMBINATORIAL_DIRECTED if directed
-                else LaplacianKind.COMBINATORIAL)
-    laplacian(G, kind)
+    if kind is not None:
+        laplacian(G, kind)
     return G
 
 
@@ -383,9 +446,7 @@ def laplacian(G: Graph, kind=None) -> sp.csr_array:
     """
     _check_graph(G)
     if kind is None:
-        kind = G.lap_kind or (
-            LaplacianKind.COMBINATORIAL_DIRECTED if G.directed
-            else LaplacianKind.COMBINATORIAL)
+        kind = G.lap_kind
     try:
         kind = LaplacianKind(kind)
     except ValueError:
@@ -403,11 +464,10 @@ def laplacian(G: Graph, kind=None) -> sp.csr_array:
         Dis = sp.diags_array(dis)
         L = Dis @ (sp.diags_array(G.d) - W) @ Dis
     elif kind is LaplacianKind.COMBINATORIAL_DIRECTED:
-        d_out = np.asarray(W.sum(axis=1)).ravel()
         d_in = np.asarray(W.sum(axis=0)).ravel()
-        L = (sp.diags_array(d_out) + sp.diags_array(d_in) - W - W.T) * 0.5
+        L = (sp.diags_array(G.d) + sp.diags_array(d_in) - W - W.T) * 0.5
     elif kind is LaplacianKind.DEGREE_NORMALIZED:
-        d_out = np.asarray(W.sum(axis=1)).ravel()
+        d_out = G.d
         d_in = np.asarray(W.sum(axis=0)).ravel()
         if np.any(d_out <= 0) or np.any(d_in <= 0):
             bad = int(np.argmax((d_out <= 0) | (d_in <= 0)))
@@ -465,7 +525,7 @@ def stationary_distribution(G: Graph) -> DirectedData:
     if _check_graph(G)._directed_data is not None:
         return G._directed_data
 
-    d_out = np.asarray(G.W.sum(axis=1)).ravel()
+    d_out = G.d
     if np.any(d_out <= 0):
         bad = int(np.argmax(d_out <= 0))
         raise ZeroOutDegree(f"vertex {bad} has zero out-degree")

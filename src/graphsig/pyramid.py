@@ -138,7 +138,7 @@ class _LevelGraphs(Sequence):
             _check_dense_cap(vertices.size, f"level {level}")
             self._graphs[level] = graph_from_weights(
                 _laplacian_to_weights(kron_reduce(G.L, vertices)),
-                directed=False, kind=LaplacianKind.COMBINATORIAL,
+                directed=False,
                 coords=None if G.coords is None else G.coords[vertices],
                 name=f"{G.name or 'graph'}/level{level}")
         return self._graphs[level]

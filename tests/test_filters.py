@@ -1,6 +1,7 @@
 """Filter banks, Chebyshev machinery and frame identities."""
 
 import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -31,6 +32,12 @@ class TestKernelAndBank:
         assert len(bank) == 4
         assert bank[0] is bank.kernels[0]
         assert [k for k in bank] == bank.kernels
+
+    def test_bank_stores_its_kernels_as_a_list(self):
+        kernels = (np.exp, gs.Kernel(np.sin))
+        bank = gs.FilterBank(kernels, np.float64(2.0))
+        assert bank.kernels == list(kernels)
+        assert type(bank.lmax) is float
 
     def test_lmax_from_graph_estimate(self):
         G = gs.ring(8)
@@ -243,6 +250,28 @@ class TestChebyshev:
         coeffs = gs.chebyshev_coeffs(np.exp, 5, 9.0)
         with pytest.raises(exc.ShapeMismatch):
             gs.chebyshev_apply(sensor64, coeffs, np.zeros(63))
+
+    def test_fields_cannot_be_reassigned(self):
+        # A NaN lmax set after construction gave an all-NaN output.
+        G = gs.ring(8)
+        coeffs = gs.chebyshev_coeffs(np.exp, 5, 4.5)
+        want = gs.chebyshev_apply(G, coeffs, np.ones(8))
+        for field, value in (("lmax", np.nan), ("c", np.ones(2)),
+                             ("order", 1)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(coeffs, field, value)
+        assert np.array_equal(gs.chebyshev_apply(G, coeffs, np.ones(8)),
+                              want)
+
+    def test_coefficients_are_a_read_only_copy(self):
+        # The caller's array was aliased, so a later write to it was applied
+        # unchecked.
+        c = np.array([2.0, 1.0, 0.5])
+        coeffs = gs.ChebyshevCoeffs(c, 2, 3.0)
+        c[:] = np.nan
+        assert np.array_equal(coeffs.c, [2.0, 1.0, 0.5])
+        with pytest.raises(ValueError):
+            coeffs.c[0] = 0.0
 
 
 class TestAnalysisSynthesis:

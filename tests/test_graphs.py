@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import graphsig as gs
 from graphsig import exceptions as exc
+from graphsig.graphs import _fingerprint
 
 from oracles import dense_laplacian, random_directed_strongly_connected
 
@@ -97,6 +100,109 @@ class TestConstruction:
     def test_coords_validation(self):
         with pytest.raises(exc.NonSquareMatrix):
             gs.graph_from_weights([[0, 1], [1, 0]], coords=np.zeros((3, 2)))
+
+
+    @pytest.mark.parametrize("loop", [np.nan, -1.0])
+    def test_bad_self_loop_refused_before_it_is_dropped(self, loop):
+        error = exc.NonFiniteValue if np.isnan(loop) else exc.NegativeWeight
+        for directed in ("auto", False, True):
+            with pytest.raises(error):
+                gs.graph_from_weights([[loop, 1], [1, 0]], directed=directed)
+
+    def test_negative_weight_refused_before_symmetrizing(self):
+        # (W + W.T) / 2 cancels this matrix to an empty graph.
+        with pytest.raises(exc.NegativeWeight):
+            gs.graph_from_weights([[0, -1], [1, 0]], directed=False)
+
+
+def _csr(rows):
+    return sp.csr_array(np.array(rows, dtype=float))
+
+
+class TestDirectConstruction:
+    """A Graph checks its own weights and attaches its default Laplacian."""
+
+    def test_stored_form_gives_a_complete_graph(self):
+        ring = gs.ring(8)
+        G = gs.Graph(ring.W.copy(), False)
+        assert G.lap_kind is gs.LaplacianKind.COMBINATORIAL
+        assert (G.L != ring.L).nnz == 0
+        assert _fingerprint(G) == _fingerprint(ring)
+        assert gs.estimate_lmax(G) == gs.estimate_lmax(ring)
+        D = gs.Graph(_csr([[0, 1, 0], [0, 0, 2], [3, 0, 0]]), True)
+        assert D.lap_kind is gs.LaplacianKind.COMBINATORIAL_DIRECTED
+        assert_allclose(D.d, [1, 2, 3], atol=0)
+
+    def test_asymmetric_undirected_weights_refused(self):
+        # Accepted, it broke div(grad f) == L @ f and save_weights wrote a
+        # different matrix.
+        W = _csr([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        with pytest.raises(exc.BadParameter):
+            gs.Graph(W, False)
+        assert gs.Graph(W, True).directed
+
+    @pytest.mark.parametrize("value, error", [
+        (np.nan, exc.NonFiniteValue), (np.inf, exc.NonFiniteValue),
+        (-1.0, exc.NegativeWeight)])
+    def test_bad_weights_refused(self, value, error):
+        with pytest.raises(error):
+            gs.Graph(_csr([[0, value], [value, 0]]), False)
+
+    def test_shape_and_size_refused(self):
+        with pytest.raises(exc.NonSquareMatrix):
+            gs.Graph(sp.csr_array((2, 3)), True)
+        with pytest.raises(exc.EmptyGraph):
+            gs.Graph(sp.csr_array((0, 0)), True)
+
+    def test_overflowing_degrees_refused(self):
+        with pytest.raises(exc.NonFiniteValue):
+            gs.Graph(_csr([[0, 1e308, 1e308], [0, 0, 0], [0, 0, 0]]), True)
+
+    def test_bad_coords_refused(self):
+        W = gs.ring(4).W
+        with pytest.raises(exc.NonSquareMatrix):
+            gs.Graph(W, False, coords=np.zeros((3, 2)))
+        with pytest.raises(exc.NonFiniteValue):
+            gs.Graph(W, False, coords=np.full((4, 2), np.nan))
+
+    def test_duplicates_summed_and_explicit_zeros_dropped(self):
+        W = sp.csr_array((np.array([1.0, 1.0, 0.0, 2.0]),
+                          np.array([1, 1, 2, 0]), np.array([0, 3, 4, 4])),
+                         shape=(3, 3))
+        G = gs.Graph(W, True)
+        assert_allclose(G.W.toarray(), [[0, 2, 0], [2, 0, 0], [0, 0, 0]],
+                        atol=0)
+        assert G.Ne == 2
+
+
+@st.composite
+def weight_matrices(draw):
+    """Small weight matrices with self-loops, exact zeros, asymmetry and
+    asymmetry at the level of rounding noise."""
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(0.0), st.floats(0.0, 10.0),
+                      st.sampled_from([1.0, 0.5, 1e-300]))
+    W = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n)))
+    W = W.reshape(n, n)
+    if draw(st.booleans()):
+        W = W + W.T
+        if n > 1 and draw(st.booleans()):
+            W[0, 1] *= 1.0 + 1e-15
+    return W
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(weight_matrices(), st.sampled_from(["auto", False, True]),
+       st.booleans())
+def test_graph_rebuilds_the_factory_output(W, directed, with_coords):
+    coords = np.arange(2.0 * len(W)).reshape(-1, 2) if with_coords else None
+    G = gs.graph_from_weights(W, directed=directed, coords=coords)
+    H = gs.Graph(G.W.copy(), G.directed, coords=G.coords)
+    assert _fingerprint(H) == _fingerprint(G)
+    for a, b in ((H.L.indptr, G.L.indptr), (H.L.indices, G.L.indices),
+                 (H.L.data, G.L.data), (H.d, G.d)):
+        assert a.tobytes() == b.tobytes()
+    assert H.Ne == G.Ne
 
 
 class TestSignalValidation:

@@ -1,8 +1,11 @@
 """Input checks shared across modules: real parameters, counts, signals,
 self-validating hierarchies and the public name list."""
 
+import inspect
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import graphsig as gs
 from graphsig import exceptions as exc
@@ -37,6 +40,7 @@ REAL_PARAMETERS = {
         lambda v: gs.chebyshev_coeffs(lambda x: np.exp(-x), 5, v), 1e-3),
     "ChebyshevCoeffs-lmax": (lambda v: gs.ChebyshevCoeffs(np.ones(3), 2, v),
                              1e-3),
+    "FilterBank-lmax": (lambda v: gs.FilterBank([np.exp], v), 1e-3),
     "frame_bounds-lmax": (
         lambda v: gs.frame_bounds(gs.itersine(4.0, 4), lmax=v), 1e-3),
     "prox_tv-gamma": (lambda v: gs.prox_tv(_ring(), np.ones(8), v), 0.0),
@@ -297,6 +301,28 @@ TYPED_REFUSALS = {
                                np.ones(3), [1.0, np.inf, 1.0]),
     "ChebyshevCoeffs-numeric": (lambda v: gs.ChebyshevCoeffs(v, 2, lmax=3.0),
                                 np.ones(3), ["a", "b", "c"]),
+    # A Graph built directly, not by graph_from_weights: it used to be
+    # accepted unchecked and without a Laplacian.
+    "Graph-weights": (lambda v: gs.Graph(v, False), gs.ring(4).W,
+                      np.ones((3, 3))),
+    "Graph-format": (lambda v: gs.Graph(v, False), gs.ring(4).W,
+                     sp.csr_matrix(gs.ring(4).W)),
+    "Graph-symmetric": (lambda v: gs.Graph(v, False), gs.ring(4).W,
+                        sp.csr_array(np.triu(gs.ring(4).W.toarray()))),
+    "Graph-self_loops": (lambda v: gs.Graph(v, False), gs.ring(4).W,
+                         sp.csr_array(np.eye(4))),
+    "Graph-directed": (lambda v: gs.Graph(gs.ring(4).W, v), False, "auto"),
+    "Graph-coords": (lambda v: gs.Graph(gs.ring(4).W, False, coords=v),
+                     np.zeros((4, 2)), [["a", "b"]] * 4),
+    # A bank built directly: an empty one or a bare function used to fail
+    # later with a bare ValueError or TypeError.
+    "FilterBank-kernels": (lambda v: gs.FilterBank(v, 2.0), [np.exp], []),
+    "FilterBank-callables": (lambda v: gs.FilterBank(v, 2.0), (np.exp,),
+                             np.exp),
+    "FilterBank-design": (lambda v: gs.FilterBank([np.exp], 2.0, design=v),
+                          None, "heat"),
+    "Multiresolution-keeps": (lambda v: gs.Multiresolution([gs.ring(8)], v),
+                              [[0, 2, 4, 6]], [[0, 0]]),
     "chebyshev_apply-coeffs": (
         lambda v: gs.chebyshev_apply(_ring(), v, np.ones(8)),
         gs.chebyshev_coeffs(np.exp, 5, 4.5), "c"),
@@ -348,6 +374,40 @@ def test_wrong_kind_of_input_is_bad_parameter(name):
     with pytest.raises(exc.BadParameter):
         call(bad)
     call(good)
+
+
+#: Public classes that check nothing on construction, each with the reason it
+#: needs no refusal row.
+RECORD_CLASSES = {
+    "DirectedData": "built only by stationary_distribution from a Graph",
+    "GraphSigError": "the base of every refusal, not an input",
+    "IncidenceOperator": "built only by incidence from a Graph",
+    "Kernel": "a label on a function, read only when a bank evaluates it",
+    "LaplacianKind": "an enum; laplacian refuses a name it does not hold",
+    "Pyramid": "pyramid_synthesis checks it against its hierarchy",
+    "SolverReport": "a solver's output, never an input",
+    "SpectralData": "built only by compute_fourier_basis",
+}
+
+#: Public classes that check their fields on construction.
+VALIDATING_CLASSES = ["ChebyshevCoeffs", "FilterBank", "Graph",
+                      "Multiresolution", "PlotStyle"]
+
+
+def test_every_public_callable_has_a_refusal_row():
+    rows = {name.split("-")[0] for table in (
+        REAL_PARAMETERS, COUNT_PARAMETERS, TYPED_REFUSALS) for name in table}
+    missing, unsorted = [], []
+    for name in gs.__all__:
+        obj = getattr(gs, name)
+        if inspect.isclass(obj) and name not in VALIDATING_CLASSES:
+            if name not in RECORD_CLASSES:
+                unsorted.append(name)
+        elif name not in rows:
+            missing.append(name)
+    assert missing == [] and unsorted == []
+    assert set(VALIDATING_CLASSES) <= set(gs.__all__)
+    assert set(RECORD_CLASSES) <= set(gs.__all__)
 
 
 def test_wrong_bank_is_refused_before_the_basis_is_asked_for():
