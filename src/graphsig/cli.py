@@ -1,11 +1,12 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 for usage problems (bad flags, missing files or
-subcommands), 2 when a toolbox operation raises one of its typed errors.
-Every successful run writes a JSON manifest next to its primary output
-(override with ``--manifest``) recording the exact argument vector, resolved
-parameters, output paths and headline numbers; ``graphsig rerun <manifest>``
-replays the stored argument vector, reproducing the outputs bit for bit.
+Exit codes: 0 on success, 1 for usage problems (bad flags, missing
+subcommands or inputs, outputs that cannot be opened), 2 when a toolbox
+operation raises one of its typed errors.  Every successful run writes a JSON
+manifest next to its primary output (override with ``--manifest``) recording
+the exact argument vector, resolved parameters, output paths and headline
+numbers; ``graphsig rerun <manifest>`` replays the stored argument vector,
+reproducing the outputs bit for bit.
 
 There is one command path.  :func:`main` parses the arguments, refuses a
 command that sets none of the flags it needs one of or names an input file
@@ -192,15 +193,18 @@ def _build_bank(args, G):
 
     The Fourier basis is computed for the exact path and for a
     ``warped_translates`` design, the spectral-radius bound otherwise.
+    Without a graph (``plot filters``) the design is laid on ``--lmax``.
     """
-    if args.method == "exact" or (args.design == "warped_translates"
-                                  and not args.bank):
-        compute_fourier_basis(G)
-    else:
-        estimate_lmax(G)
+    if G is not None:
+        if args.method == "exact" or (args.design == "warped_translates"
+                                      and not args.bank):
+            compute_fourier_basis(G)
+        else:
+            estimate_lmax(G)
     if args.bank:
         return gio.load_filter_bank(args.bank)
-    return design(args.design, G, **_design_params(args))
+    return design(args.design, args.lmax if G is None else G,
+                  **_design_params(args))
 
 
 def _cmd_filter(args, G, f):
@@ -325,14 +329,7 @@ def _cmd_plot_graph(args, G, signal):
 
 
 def _cmd_plot_filters(args, G, _f):
-    if G is not None:
-        bank = _build_bank(args, G)
-    elif args.bank:
-        bank = gio.load_filter_bank(args.bank)
-    else:
-        if args.design == "warped_translates":
-            raise _UsageError("warped_translates needs --graph, not --lmax")
-        bank = design(args.design, args.lmax, **_design_params(args))
+    bank = _build_bank(args, G)
     export_filter_svg(bank, grid_size=args.grid, path=args.out)
     a, b = frame_bounds(bank)
     return (args.out, {"design": args.design, "kernels": len(bank)},
@@ -369,13 +366,12 @@ def _add_graph_args(p):
                    help="laplacian to attach (default matches directedness)")
 
 
-def _add_design_args(p, include_bank=True):
+def _add_design_args(p):
     p.add_argument("--design", default="itersine",
                    choices=sorted(_DESIGNS),
                    help="filter bank design")
-    if include_bank:
-        p.add_argument("--bank", default=None,
-                       help="load the bank from a JSON descriptor instead")
+    p.add_argument("--bank", default=None,
+                   help="load the bank from a JSON descriptor instead")
     p.add_argument("--tau", type=float, default=None,
                    help="heat diffusion time / shrinkage threshold")
     p.add_argument("--scales", type=int, default=None,
@@ -553,7 +549,7 @@ def main(argv=None) -> int:
             if getattr(args, "signal", None) else None
         _write_manifest(args, argv, *args.func(args, G, f))
         return 0
-    except (_UsageError, FileNotFoundError) as exc:
+    except (_UsageError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except GraphSigError as exc:

@@ -45,9 +45,12 @@ from .spectral import estimate_lmax, get_lmax, get_spectral
 
 
 class Kernel:
-    """Vectorized scalar spectral map with a display label."""
+    """Vectorized scalar spectral map with a display label; ``BadParameter``
+    when ``fn`` is not callable."""
 
     def __init__(self, fn: Callable[[np.ndarray], np.ndarray], label: str = ""):
+        if not callable(fn):
+            raise BadParameter(f"kernel function must be callable, got {fn!r}")
         self.fn = fn
         self.label = label
 

@@ -8,7 +8,7 @@ graph and signal always produce byte-identical files.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -157,16 +157,8 @@ def export_graph_svg(G: Graph, signal=None, style: Optional[PlotStyle] = None,
     else:
         fills = [_hex_at(stops, 0.45)] * G.N
 
-    lines: List[str] = []
-    lines.append('<?xml version="1.0" encoding="UTF-8"?>')
-    lines.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{st.width}" height="{st.height}" '
-        f'viewBox="0 0 {st.width} {st.height}">')
-    title = G.name or "graph"
-    lines.append(f"<desc>{_escape(title)}: {G.N} vertices, {G.Ne} edges</desc>")
-    lines.append(f'<rect x="0" y="0" width="{st.width}" height="{st.height}" '
-                 f'fill="{st.background}"/>')
+    lines = _svg_head(st, f"{_escape(G.name or 'graph')}: {G.N} vertices, "
+                          f"{G.Ne} edges")
 
     edges = incidence(G).edges
     lines.append(f'<g stroke="#9b9b9b" stroke-width="{_f(st.edge_width)}" '
@@ -205,11 +197,7 @@ def export_graph_svg(G: Graph, signal=None, style: Optional[PlotStyle] = None,
             f'fill="#2f2f2f">{vmin:.4g}</text>')
 
     lines.append("</svg>")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return text
+    return _emit(lines, path)
 
 
 def _escape(s: str) -> str:
@@ -217,8 +205,24 @@ def _escape(s: str) -> str:
             .replace(">", "&gt;"))
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> Sequence[float]:
-    return np.linspace(lo, hi, n)
+def _svg_head(st: PlotStyle, desc: str) -> List[str]:
+    """An SVG document's first lines: the canvas, ``desc`` and background."""
+    return ['<?xml version="1.0" encoding="UTF-8"?>',
+            f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+            f'width="{st.width}" height="{st.height}" '
+            f'viewBox="0 0 {st.width} {st.height}">',
+            f"<desc>{desc}</desc>",
+            f'<rect x="0" y="0" width="{st.width}" height="{st.height}" '
+            f'fill="{st.background}"/>']
+
+
+def _emit(lines: List[str], path) -> str:
+    """An exporter's text from its lines, also written to ``path`` if given."""
+    text = "\n".join(lines) + "\n"
+    if path is not None:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    return text
 
 
 def export_filter_svg(bank: FilterBank, lmax: Optional[float] = None,
@@ -255,16 +259,8 @@ def export_filter_svg(bank: FilterBank, lmax: Optional[float] = None,
     def sy(v):
         return mt + (1.0 - v / ymax) * ph
 
-    lines: List[str] = []
-    lines.append('<?xml version="1.0" encoding="UTF-8"?>')
-    lines.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{st.width}" height="{st.height}" '
-        f'viewBox="0 0 {st.width} {st.height}">')
-    lines.append(f"<desc>filter bank: {len(bank)} kernels on "
-                 f"[0, {lm:.6g}]</desc>")
-    lines.append(f'<rect x="0" y="0" width="{st.width}" height="{st.height}" '
-                 f'fill="{st.background}"/>')
+    lines = _svg_head(st, f"filter bank: {len(bank)} kernels on "
+                          f"[0, {lm:.6g}]")
 
     # Axes and ticks.
     lines.append('<g stroke="#2f2f2f" stroke-width="1.000">')
@@ -275,10 +271,10 @@ def export_filter_svg(bank: FilterBank, lmax: Optional[float] = None,
     lines.append("</g>")
     lines.append(f'<g font-family="sans-serif" font-size="{st.font_size}" '
                  'fill="#2f2f2f">')
-    for tv in _ticks(0.0, lm):
+    for tv in np.linspace(0.0, lm, 5):
         lines.append(f'<text x="{_f(sx(tv) - 10)}" y="{_f(mt + ph + 16)}">'
                      f"{tv:.3g}</text>")
-    for tv in _ticks(0.0, ymax):
+    for tv in np.linspace(0.0, ymax, 5):
         lines.append(f'<text x="{_f(4)}" y="{_f(sy(tv) + 4)}">'
                      f"{tv:.3g}</text>")
     lines.append("</g>")
@@ -298,11 +294,7 @@ def export_filter_svg(bank: FilterBank, lmax: Optional[float] = None,
         lines.append(polyline(curves[idx], color,
                               label=bank[idx].label or f"kernel {idx}"))
     lines.append("</svg>")
-    text = "\n".join(lines) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return text
+    return _emit(lines, path)
 
 
 def export_graph_dot(G: Graph, path=None) -> str:
@@ -325,8 +317,4 @@ def export_graph_dot(G: Graph, path=None) -> str:
     for (i, j), w in zip(op.edges, op.weights):
         body.append(f"  {i} {arrow} {j} [weight={w:.12g}];")
     body.append("}")
-    text = "\n".join(body) + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    return text
+    return _emit(body, path)

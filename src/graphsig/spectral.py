@@ -231,14 +231,11 @@ def estimate_lmax(G: Graph) -> float:
         NonSymmetricLaplacian: The active Laplacian is not symmetric, so
             symmetric Lanczos gives no bound.
     """
-    if _check_graph(G)._spectral is not None:
-        return G._spectral.lmax
-    if G._lmax_estimate is not None:
-        return G._lmax_estimate
-    _require_symmetric(G.L, "symmetric Lanczos gives no spectral-radius bound",
-                       G.lap_kind)
-    G._lmax_estimate = _lmax_bound(G.L)
-    return G._lmax_estimate
+    if _check_graph(G)._spectral is None and G._lmax_estimate is None:
+        _require_symmetric(G.L, "symmetric Lanczos gives no spectral-radius "
+                           "bound", G.lap_kind)
+        G._lmax_estimate = _lmax_bound(G.L)
+    return get_lmax(G)
 
 
 def get_lmax(G: Graph, required_by: str = "this operation") -> float:

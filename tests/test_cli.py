@@ -1,9 +1,11 @@
 """Command line front end: exit codes, manifests, reruns, file outputs."""
 
+import gzip
 import json
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -350,6 +352,13 @@ class TestPlot:
     def test_filters_need_a_source(self, tmp_path):
         assert run("plot", "filters", "--out", tmp_path / "f.svg") == 1
 
+    def test_warped_translates_from_lmax_is_exit_2(self, tmp_path, capsys):
+        # The design needs a graph's spectrum and refuses a number itself.
+        assert run("plot", "filters", "--lmax", 4.0, "--design",
+                   "warped_translates", "--out", tmp_path / "f.svg") == 2
+        assert capsys.readouterr().err.startswith("BadParameter: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_subcommand_is_exit_1(self):
         assert run("plot") == 1
 
@@ -395,6 +404,57 @@ class TestRerun:
 
     def test_missing_manifest_is_exit_1(self, tmp_path):
         assert run("rerun", tmp_path / "none.json") == 1
+
+    def test_rerun_rewrites_compressed_outputs(self, sensor_files,
+                                               monkeypatch):
+        # gzip records the current time unless told otherwise; a clock that
+        # moves a minute per call makes every rerun later.
+        clock = iter(range(0, 6000, 60))
+        monkeypatch.setattr(gzip, "time", SimpleNamespace(
+            time=lambda: float(next(clock))))
+        d, g, y = sensor_files
+        for name in ("a.csv.gz", "b.csv.bz2", "c.csv.xz"):
+            out = d / name
+            assert run("denoise", g, "--signal", y, "--solver", "tik",
+                       "--out", out) == 0
+            first = out.read_bytes()
+            out.unlink()
+            stem = name.split(".")[0]
+            assert run("rerun", d / f"{stem}.csv.manifest.json") == 0
+            assert out.read_bytes() == first
+
+
+class TestOutputPaths:
+    def test_output_lands_at_the_given_name(self, tmp_path):
+        # scipy's mmwrite, given this name, would write graph.txt.mtx.
+        out = tmp_path / "graph.txt"
+        assert run("generate", "ring", "--n", 8, "--out", out) == 0
+        manifest = json.loads((tmp_path / "graph.manifest.json").read_text())
+        assert manifest["outputs"][0] == str(out) and out.exists()
+        assert run("laplacian", out, "--out", tmp_path / "L.txt") == 0
+        assert (tmp_path / "L.txt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        lambda g, d: ["generate", "ring", "--out", d / "nodir" / "g.mtx"],
+        lambda g, d: ["laplacian", g, "--out", d / "nodir" / "L.mtx"],
+        lambda g, d: ["laplacian", g, "--out", d]])
+    def test_output_that_cannot_be_opened_is_exit_1(self, tmp_path, capsys,
+                                                    argv):
+        # Neither the output nor the manifest may be left behind.
+        g = tmp_path / "g.mtx"
+        gio.save_graph(g, gs.ring(6))
+        capsys.readouterr()
+        assert run("--manifest", tmp_path / "m.json", *argv(g, tmp_path)) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "g.coords.csv", "g.mtx"]
+
+    def test_directory_as_denoise_out_is_exit_1(self, sensor_files, capsys):
+        d, g, y = sensor_files
+        (d / "adir").mkdir()
+        assert run("denoise", g, "--signal", y, "--solver", "tik",
+                   "--out", d / "adir") == 1
+        assert "usage error" in capsys.readouterr().err
 
 
 #: One call per graph-reading subcommand: the argv built from the graph,

@@ -321,6 +321,9 @@ TYPED_REFUSALS = {
                              np.exp),
     "FilterBank-design": (lambda v: gs.FilterBank([np.exp], 2.0, design=v),
                           None, "heat"),
+    # A Kernel is callable whatever it wraps, so the bank's callable check
+    # cannot catch a non-function inside it.
+    "Kernel-fn": (gs.Kernel, np.exp, "x"),
     "Multiresolution-keeps": (lambda v: gs.Multiresolution([gs.ring(8)], v),
                               [[0, 2, 4, 6]], [[0, 0]]),
     "chebyshev_apply-coeffs": (
@@ -382,7 +385,6 @@ RECORD_CLASSES = {
     "DirectedData": "built only by stationary_distribution from a Graph",
     "GraphSigError": "the base of every refusal, not an input",
     "IncidenceOperator": "built only by incidence from a Graph",
-    "Kernel": "a label on a function, read only when a bank evaluates it",
     "LaplacianKind": "an enum; laplacian refuses a name it does not hold",
     "Pyramid": "pyramid_synthesis checks it against its hierarchy",
     "SolverReport": "a solver's output, never an input",
@@ -390,7 +392,7 @@ RECORD_CLASSES = {
 }
 
 #: Public classes that check their fields on construction.
-VALIDATING_CLASSES = ["ChebyshevCoeffs", "FilterBank", "Graph",
+VALIDATING_CLASSES = ["ChebyshevCoeffs", "FilterBank", "Graph", "Kernel",
                       "Multiresolution", "PlotStyle"]
 
 

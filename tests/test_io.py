@@ -1,6 +1,13 @@
 """Round trips through the on-disk formats."""
 
+import ast
+import bz2
+import gzip
 import json
+import lzma
+import pathlib
+import re
+from io import BytesIO
 
 import numpy as np
 import pytest
@@ -262,3 +269,111 @@ class TestPyramidDirectory:
         assert _fingerprint(loaded) == _fingerprint(G)
         gs.laplacian(loaded, "normalized")
         assert _fingerprint(loaded) != _fingerprint(G)
+
+
+#: Each compressed suffix with the module that reads it back.
+COMPRESSED = {".gz": gzip, ".bz2": bz2, ".xz": lzma}
+
+
+class TestOutputPaths:
+    """Every numeric output lands at exactly its path or raises."""
+
+    @pytest.mark.parametrize("name", ["g.txt", "g.mtx.gz", "g.mtx.bz2"])
+    def test_graph_lands_at_the_given_name(self, tmp_path, name):
+        # scipy's mmwrite, given a file name, appends ".mtx" to it.
+        G = gs.sensor(20, seed=4)
+        p = tmp_path / name
+        assert gio.save_graph(p, G) == [str(p), gio.coords_path_for(p)]
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+            [name, pathlib.Path(gio.coords_path_for(p)).name])
+        G2 = gio.load_graph(p)
+        assert np.array_equal(G2.W.toarray(), G.W.toarray())
+        assert np.array_equal(G2.coords, G.coords)
+
+    def test_sparse_matrix_lands_at_the_given_name(self, tmp_path):
+        L = gs.ring(7).L
+        gio.save_sparse_matrix(tmp_path / "L.txt", L)
+        assert [f.name for f in tmp_path.iterdir()] == ["L.txt"]
+        assert np.array_equal(gio.load_weights(tmp_path / "L.txt").toarray(),
+                              L.toarray())
+
+    def test_xz_matrix_market_is_refused_on_load(self, tmp_path):
+        # scipy reads .mtx.gz and .mtx.bz2 back, but not .mtx.xz.
+        gio.save_graph(tmp_path / "g.mtx.xz", gs.ring(6))
+        with pytest.raises(exc.BadParameter):
+            gio.load_graph(tmp_path / "g.mtx.xz")
+
+    @pytest.mark.parametrize("save", [
+        lambda p: gio.save_graph(p, gs.erdos_renyi(10, 0.3, seed=1)),
+        lambda p: gio.save_sparse_matrix(p, gs.ring(5).L),
+        lambda p: gio.save_signal(p, np.ones(3)),
+        lambda p: gio.save_signal(p.with_suffix(".csv.gz"), np.ones(3))])
+    def test_missing_directory_raises(self, tmp_path, save):
+        # scipy's mmwrite, given a path it cannot open, raises nothing.
+        with pytest.raises(FileNotFoundError):
+            save(tmp_path / "nodir" / "out.mtx")
+
+    def test_scipy_writes_into_a_buffer(self, tmp_path, monkeypatch):
+        targets, mmwrite = [], gio.sio.mmwrite
+        monkeypatch.setattr(gio.sio, "mmwrite", lambda target, *a, **k: (
+            targets.append(target), mmwrite(target, *a, **k)))
+        gio.save_graph(tmp_path / "g.mtx", gs.ring(5))
+        assert len(targets) == 1 and isinstance(targets[0], BytesIO)
+
+
+class TestCompressedOutputs:
+    @pytest.mark.parametrize("suffix", sorted(COMPRESSED))
+    @pytest.mark.parametrize("save", [
+        lambda p: gio.save_signal(p, np.linspace(-1.0, 1.0, 40) / 3.0),
+        lambda p: gio.save_graph(p, gs.sensor(20, seed=2))])
+    def test_decompresses_to_the_plain_bytes(self, tmp_path, suffix, save):
+        plain, packed = tmp_path / "plain.out", tmp_path / f"packed{suffix}"
+        save(plain)
+        save(packed)
+        assert COMPRESSED[suffix].decompress(packed.read_bytes()) == \
+            plain.read_bytes()
+
+    def test_gzip_header_has_no_time(self, tmp_path):
+        # gzip records the current time unless told otherwise.
+        for name in ("v.csv.gz", "g.mtx.gz"):
+            p = tmp_path / name
+            if name.endswith(".csv.gz"):
+                gio.save_signal(p, np.arange(5.0))
+            else:
+                gio.save_sparse_matrix(p, gs.ring(5).L)
+            assert p.read_bytes()[4:8] == bytes(4)
+
+
+def _calls(node, where="<module>"):
+    """``(function, call)`` for every call under ``node``, ``function`` the
+    innermost one enclosing it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield where, child
+        yield from _calls(child, child.name
+                          if isinstance(child, ast.FunctionDef) else where)
+
+
+def _writes(call) -> bool:
+    """Whether ``call`` is given a file mode that writes."""
+    modes = call.args[1:2] + [k.value for k in call.keywords
+                              if k.arg == "mode"]
+    return any(isinstance(m, ast.Constant) and isinstance(m.value, str)
+               and re.fullmatch(r"[rwax][bt+]*", m.value) is not None
+               and bool(set(m.value) & set("wax+")) for m in modes)
+
+
+def test_outputs_are_opened_in_one_place():
+    # Every output goes through io's opener, its JSON writer or plotting's
+    # emitter; numpy writes no file, and scipy writes only the one buffer.
+    opens, writers = [], []
+    for path in sorted(pathlib.Path(gs.__file__).parent.glob("*.py")):
+        for where, call in _calls(ast.parse(path.read_text())):
+            target = ast.unparse(call.func)
+            if _writes(call):
+                opens.append((path.name, where))
+            if target.endswith(("savetxt", "mmwrite")):
+                writers.append((path.name, where, target))
+    assert sorted(opens) == [("io.py", "_create"), ("io.py", "_dump_json"),
+                             ("plotting.py", "_emit")]
+    assert writers == [("io.py", "save_sparse_matrix", "sio.mmwrite")]
